@@ -336,22 +336,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         finetune_max_instances=args.max_instances,
         enable_cache=not args.no_cache, cache_size=args.cache_size,
         journal=journal)
-    fleet = None
-    if args.workers > 1:
-        fleet = PredictorFleet(bundle.predictor, workers=args.workers,
-                               max_queue=args.max_queue, journal=journal)
-        server = PredictionServer(fleet=fleet, host=args.host,
-                                  port=args.port)
-    else:
-        server = PredictionServer(bundle.predictor, host=args.host,
-                                  port=args.port,
-                                  max_batch_size=args.max_batch_size,
-                                  max_wait_ms=args.max_wait_ms)
+    fleet = PredictorFleet(bundle.predictor, workers=args.workers,
+                           max_queue=args.max_queue,
+                           max_batch_size=args.max_batch_size,
+                           journal=journal)
+    server = PredictionServer(fleet, host=args.host, port=args.port)
     host, port = server.address
-    tier = (f"fleet of {args.workers} workers" if fleet is not None
-            else "single worker")
     print(f"serving on http://{host}:{port}  "
-          f"({tier}, cache {'off' if args.no_cache else 'on'})")
+          f"({args.workers} worker lane(s), "
+          f"cache {'off' if args.no_cache else 'on'})")
     for task in bundle.predictor.tasks:
         print(f"  POST /v1/{task}")
     print("  GET  /healthz")
@@ -424,6 +417,27 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                              format_comparison, format_report, report_to_dict,
                              run_cases, write_report)
 
+    baseline, per_case = None, {}
+    if args.compare_to:
+        # Validate the gate's inputs before spending minutes on the cases.
+        try:
+            with open(args.compare_to) as handle:
+                baseline = json.load(handle)
+        except (OSError, json.JSONDecodeError) as error:
+            print(f"cannot read baseline {args.compare_to}: {error}")
+            return 1
+        if not (isinstance(baseline, dict)
+                and isinstance(baseline.get("cases"), list)):
+            print(f"cannot read baseline {args.compare_to}: not a bench "
+                  "report (no 'cases' list)")
+            return 1
+        for entry in args.case_tolerance or []:
+            name, _, value = entry.partition("=")
+            try:
+                per_case[name] = float(value)
+            except ValueError:
+                print(f"bad --case-tolerance {entry!r} (want NAME=FRACTION)")
+                return 1
     cases = default_cases()
     if args.only:
         known = {case.name for case in cases}
@@ -439,21 +453,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.json:
         write_report(args.json, args.name, results, args.warmup, args.repeat)
         print(f"report written to {args.json}")
-    if args.compare_to:
-        try:
-            with open(args.compare_to) as handle:
-                baseline = json.load(handle)
-        except (OSError, json.JSONDecodeError) as error:
-            print(f"cannot read baseline {args.compare_to}: {error}")
-            return 1
-        per_case = {}
-        for entry in args.case_tolerance or []:
-            name, _, value = entry.partition("=")
-            try:
-                per_case[name] = float(value)
-            except ValueError:
-                print(f"bad --case-tolerance {entry!r} (want NAME=FRACTION)")
-                return 1
+    if baseline is not None:
         payload = report_to_dict(args.name, results, args.warmup, args.repeat)
         comparison = compare_reports(payload, baseline,
                                      tolerance=args.tolerance,
@@ -606,17 +606,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-instances", type=int, default=None,
                        help="subsample each task's fine-tuning set")
     serve.add_argument("--workers", type=int, default=1,
-                       help="serving fleet size; >1 routes requests by "
+                       help="serving lanes; >1 routes requests by "
                             "table-content key over cache-partitioned "
-                            "workers (memory-mapped weights when the "
+                            "lanes (memory-mapped weights when the "
                             "checkpoint allows)")
     serve.add_argument("--max-queue", type=int, default=64,
-                       help="per-worker queue bound before 429s "
-                            "(fleet mode)")
+                       help="per-lane bound on queued instances before 429s")
     serve.add_argument("--max-batch-size", type=int, default=8,
-                       help="micro-batcher flush size")
-    serve.add_argument("--max-wait-ms", type=float, default=5.0,
-                       help="micro-batcher flush deadline")
+                       help="most queued instances a lane runs as one batch")
     serve.add_argument("--no-cache", action="store_true",
                        help="disable the shared encode cache")
     serve.add_argument("--cache-size", type=int, default=256,

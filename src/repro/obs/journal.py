@@ -16,6 +16,7 @@ the loss/throughput/per-phase report printed by the CLI.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, IO, List, Optional, Sequence
@@ -30,24 +31,30 @@ PHASES = ("forward", "backward", "optimizer")
 
 
 class RunJournal:
-    """Append-only JSONL event log for one training / evaluation run."""
+    """Append-only JSONL event log for one training / evaluation run.
+
+    :meth:`event` is thread-safe: serving handler threads and lanes write
+    to one journal concurrently, one whole line per event."""
 
     def __init__(self, path: str):
         self.path = path
         self._handle: Optional[IO[str]] = open(path, "w")
+        self._lock = threading.Lock()
         self._header_written = False
         self.n_events = 0
 
     # -- writers -----------------------------------------------------------
     def event(self, kind: str, **fields: Any) -> Dict[str, Any]:
         """Append one event; returns the record that was written."""
-        if self._handle is None:
-            raise ValueError(f"journal {self.path} is closed")
         record: Dict[str, Any] = {"event": kind, "time": time.time()}
         record.update(fields)
-        self._handle.write(json.dumps(record) + "\n")
-        self._handle.flush()
-        self.n_events += 1
+        line = json.dumps(record) + "\n"
+        with self._lock:
+            if self._handle is None:
+                raise ValueError(f"journal {self.path} is closed")
+            self._handle.write(line)
+            self._handle.flush()
+            self.n_events += 1
         return record
 
     def header(self, config: Optional[Dict[str, Any]] = None,
@@ -66,9 +73,10 @@ class RunJournal:
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        with self._lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
 
     def __enter__(self) -> "RunJournal":
         return self

@@ -11,26 +11,28 @@ into one uniform, instrumented surface:
   skip the Transformer;
 - :mod:`repro.serve.predictor` — the :class:`Predictor` facade: adapter
   dispatch, shared cache install, ``repro.obs`` metrics and journal;
-- :mod:`repro.serve.batcher` — :class:`MicroBatcher`: concurrent requests
-  queue up and flush as per-task batches through one worker thread;
-- :mod:`repro.serve.http` — a stdlib ``http.server`` JSON endpoint
-  (``POST /v1/<task>``, ``GET /healthz``, ``GET /metrics``) plus the
-  in-process :class:`Client`;
+- :mod:`repro.serve.batcher` — :class:`MicroBatcher`, the serving lane:
+  a bounded queue drained by one thread that coalesces queued requests
+  into per-task batches, with typed 429/503 backpressure, drain, and
+  trace handoff;
 - :mod:`repro.serve.ring` — :class:`HashRing`: consistent hashing with
-  virtual nodes, routing table-content digests to workers;
-- :mod:`repro.serve.fleet` — :class:`PredictorFleet`: N worker lanes with
-  private encode caches behind content-keyed routing, bounded queues with
-  typed 429/503 backpressure, and drain/reload for weight swaps;
+  virtual nodes, routing table-content digests to lanes;
+- :mod:`repro.serve.fleet` — :class:`PredictorFleet`, the one serving
+  tier: N lanes over weight-sharing predictor clones with private encode
+  caches behind content-keyed routing, and drain/reload for weight swaps
+  (``workers=1`` is the single-predictor deployment);
+- :mod:`repro.serve.http` — a stdlib ``http.server`` JSON endpoint
+  (``POST /v1/<task>``, ``GET /healthz``, ``GET /metrics``) in front of a
+  fleet, plus the in-process :class:`Client`;
 - :mod:`repro.serve.bootstrap` — build all six heads + resources from
-  pipeline artifacts (the ``repro.cli serve`` / smoke-test recipe), for a
-  single predictor or a fleet.
+  pipeline artifacts (the ``repro.cli serve`` / smoke-test recipe).
 
 Usage::
 
-    from repro.serve import Client, build_serving_bundle
+    from repro.serve import Client, PredictorFleet, build_serving_bundle
 
     bundle = build_serving_bundle(model, linearizer, kb, splits)
-    with Client(bundle.predictor) as client:
+    with Client(PredictorFleet(bundle.predictor, workers=1)) as client:
         client.predict("column_type", payload)
         client.metrics()["encode_cache"]
 """
@@ -46,19 +48,16 @@ from repro.serve.adapters import (
     TaskAdapter,
     adapters_by_task,
 )
-from repro.serve.batcher import MicroBatcher
-from repro.serve.bootstrap import ServingBundle, build_serving_bundle, build_serving_fleet
-from repro.serve.cache import ENCODE_CACHE_SIZE, EncodeCache
-from repro.serve.fleet import (
+from repro.serve.batcher import (
     DEFAULT_MAX_QUEUE,
     FleetError,
     FleetSaturated,
     FleetUnavailable,
-    FleetWorker,
-    PredictorFleet,
-    clone_predictor,
-    pin_eval,
+    MicroBatcher,
 )
+from repro.serve.bootstrap import ServingBundle, build_serving_bundle
+from repro.serve.cache import ENCODE_CACHE_SIZE, EncodeCache
+from repro.serve.fleet import PredictorFleet, clone_predictor, pin_eval
 from repro.serve.http import Client, PredictionServer
 from repro.serve.predictor import Predictor
 from repro.serve.ring import DEFAULT_REPLICAS, HashRing, route_key_for
@@ -81,12 +80,10 @@ __all__ = [
     "Client",
     "ServingBundle",
     "build_serving_bundle",
-    "build_serving_fleet",
     "HashRing",
     "route_key_for",
     "DEFAULT_REPLICAS",
     "PredictorFleet",
-    "FleetWorker",
     "FleetError",
     "FleetSaturated",
     "FleetUnavailable",

@@ -1,17 +1,22 @@
-"""Micro-batching: queue concurrent requests, flush as task batches.
+"""One serving lane: a bounded queue drained in task batches by one thread.
 
 Concurrent callers (HTTP handler threads, test harnesses) enqueue single
-instances; one daemon worker drains the queue and calls
-``Predictor.predict_batch`` per task group.  Besides amortizing per-call
-overhead, the single worker is the serving layer's concurrency story:
-``eval_mode`` / ``no_grad`` flip process-global state, so every prediction
-must run on one thread — callers only ever touch thread-safe
+instances; one daemon thread owns the lane's predictor and calls
+``predictor.predict_batch`` per task group.  The single thread is the
+serving layer's concurrency story: ``eval_mode`` / ``no_grad`` flip
+process-global state, so every prediction of a lane runs on its thread —
+callers only ever touch thread-safe
 :class:`~concurrent.futures.Future` objects.
 
-A batch flushes when either
+A lane flushes as soon as it is free: it takes up to ``max_batch_size``
+queued items of the oldest item's task (arrival order kept, other tasks
+stay queued).  Under load, requests that arrive while a batch runs
+coalesce into the next one; an idle lane answers a lone request at once.
 
-- the oldest queued task group reaches ``max_batch_size``, or
-- the oldest queued item has waited ``max_wait_ms`` milliseconds.
+The queue is bounded: a full lane raises :class:`FleetSaturated` (HTTP
+429), a paused, draining or closed lane raises :class:`FleetUnavailable`
+(HTTP 503).  Nothing the lane accepted is ever dropped — :meth:`drain`
+and :meth:`close` wait for every accepted future to resolve.
 
 Timing flows through :func:`repro.obs.clock.perf_counter`, the repo's one
 clock gateway (lint rule CLK001).
@@ -22,69 +27,129 @@ from __future__ import annotations
 import threading
 from collections import deque
 from concurrent.futures import Future
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.obs import get_registry
 from repro.obs.clock import perf_counter
 from repro.obs.tracing import ContextSnapshot, capture_context
+
+#: Default bound on each lane's queued instances before submissions 429.
+DEFAULT_MAX_QUEUE = 64
 
 #: One queued request: task, instance, future, enqueue perf time, and the
 #: submitter's captured trace context (for cross-thread span attribution).
 _Item = Tuple[str, Any, "Future", float, ContextSnapshot]
 
 
+class FleetError(RuntimeError):
+    """Base class for typed serving rejections; carries an HTTP status."""
+
+    status = 500
+    #: suffix of the ``serve.fleet.rejected.<reason>`` counter
+    reason = "error"
+
+
+class FleetSaturated(FleetError):
+    """The lane's queue is full — back off and retry (429)."""
+
+    status = 429
+    reason = "saturated"
+
+
+class FleetUnavailable(FleetError):
+    """The lane is draining or stopped, not accepting work (503)."""
+
+    status = 503
+    reason = "unavailable"
+
+
 class MicroBatcher:
     """Queue ``(task, instance)`` requests; flush them in task batches.
 
     Each :meth:`submit` captures the caller's trace context
-    (:func:`repro.obs.capture_context`); the worker thread attributes a
+    (:func:`repro.obs.capture_context`); the lane thread attributes a
     ``serve/queue`` span (time spent waiting for a batch) and a
     ``serve/predict`` span (the batch execution window) back to every
-    originating request trace, so a request traced through the batcher
-    still yields a single connected trace."""
+    originating request trace, so a request traced through the lane
+    still yields a single connected trace.  Accepted instances count
+    under ``serve.<name>.requests``.
+    """
 
     def __init__(self, predictor, max_batch_size: int = 8,
-                 max_wait_ms: float = 5.0):
+                 max_queue: int = DEFAULT_MAX_QUEUE, name: str = "lane"):
         if max_batch_size <= 0:
             raise ValueError(f"max_batch_size must be positive, got {max_batch_size}")
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
+        if max_queue < 1:
+            raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         self.predictor = predictor
         self.max_batch_size = max_batch_size
-        self.max_wait_s = max_wait_ms / 1000.0
+        self.max_queue = max_queue
+        self.name = name
         self._queue: Deque[_Item] = deque()
-        self._lock = threading.Lock()
-        self._ready = threading.Condition(self._lock)
+        self._state = threading.Condition()
+        self._accepting = True
         self._closed = False
-        self._worker = threading.Thread(target=self._run, daemon=True,
-                                        name="repro-serve-batcher")
-        self._worker.start()
+        self._inflight = 0
+        self._served = 0
+        self._thread = threading.Thread(target=self._run, daemon=True,
+                                        name=f"repro-serve-{name}")
+        self._thread.start()
 
-    # -- client side ------------------------------------------------------
+    # -- intake -----------------------------------------------------------
     def submit(self, task: str, instance: Any) -> "Future":
         """Enqueue one instance; resolve its prediction via the future."""
         future: Future = Future()
         snapshot = capture_context()
-        with self._ready:
-            if self._closed:
-                raise RuntimeError("MicroBatcher is closed")
+        with self._state:
+            if self._closed or not self._accepting:
+                raise FleetUnavailable(
+                    f"{self.name} is not accepting requests (draining or "
+                    "stopped)")
+            if len(self._queue) >= self.max_queue:
+                raise FleetSaturated(
+                    f"{self.name} queue is full "
+                    f"({self.max_queue} pending); retry later")
             self._queue.append((task, instance, future, perf_counter(),
                                 snapshot))
-            self._ready.notify()
+            self._state.notify_all()
+        get_registry().counter(f"serve.{self.name}.requests").inc()
         return future
 
     def predict(self, task: str, instance: Any):
         """Blocking convenience wrapper over :meth:`submit`."""
         return self.submit(task, instance).result()
 
-    def close(self) -> None:
-        """Flush everything still queued, then stop the worker."""
-        with self._ready:
+    # -- lifecycle --------------------------------------------------------
+    def pause(self) -> None:
+        """Stop accepting new work; queued work still runs."""
+        with self._state:
+            self._accepting = False
+
+    def resume(self) -> None:
+        with self._state:
             if self._closed:
-                return
+                raise FleetUnavailable(f"{self.name} is stopped")
+            self._accepting = True
+
+    def drain(self, timeout: Optional[float] = None) -> bool:
+        """Park intake and wait until every accepted request completed.
+
+        Returns ``True`` once idle (``False`` on timeout).  No future is
+        ever dropped: everything that :meth:`submit` accepted resolves.
+        """
+        with self._state:
+            self._accepting = False
+            return self._state.wait_for(
+                lambda: not self._queue and self._inflight == 0,
+                timeout=timeout)
+
+    def close(self, timeout: Optional[float] = None) -> None:
+        """Drain, then stop the lane thread.  Idempotent."""
+        self.drain(timeout=timeout)
+        with self._state:
             self._closed = True
-            self._ready.notify()
-        self._worker.join()
+            self._state.notify_all()
+        self._thread.join(timeout=timeout)
 
     def __enter__(self) -> "MicroBatcher":
         return self
@@ -93,24 +158,23 @@ class MicroBatcher:
         self.close()
         return False
 
-    # -- worker side ------------------------------------------------------
-    def _head_batch_size(self) -> int:
-        """Queued items belonging to the oldest item's task."""
-        if not self._queue:
-            return 0
-        head_task = self._queue[0][0]
-        return sum(1 for item in self._queue if item[0] == head_task)
+    # -- introspection ----------------------------------------------------
+    @property
+    def queue_depth(self) -> int:
+        """Queued plus in-flight instances."""
+        with self._state:
+            return len(self._queue) + self._inflight
 
-    def _should_flush(self) -> bool:
-        if not self._queue:
-            return False
-        if self._closed:
-            return True
-        if self._head_batch_size() >= self.max_batch_size:
-            return True
-        oldest = self._queue[0][3]
-        return perf_counter() - oldest >= self.max_wait_s
+    @property
+    def served(self) -> int:
+        """Instances answered so far (completed batches only)."""
+        with self._state:
+            return self._served
 
+    def cache_stats(self) -> Dict[str, float]:
+        return self.predictor.cache_stats()
+
+    # -- the lane thread --------------------------------------------------
     def _take_batch(self) -> List[_Item]:
         """Pop up to ``max_batch_size`` queued items of the head task,
         preserving arrival order (other tasks stay queued)."""
@@ -128,31 +192,28 @@ class MicroBatcher:
 
     def _run(self) -> None:
         while True:
-            with self._ready:
-                while not self._should_flush():
-                    if self._closed and not self._queue:
-                        return
-                    if self._queue:
-                        oldest = self._queue[0][3]
-                        waited = perf_counter() - oldest
-                        self._ready.wait(
-                            timeout=max(self.max_wait_s - waited, 0.001))
-                    else:
-                        self._ready.wait()
-                if self._closed and not self._queue:
-                    return
+            with self._state:
+                self._state.wait_for(lambda: self._queue or self._closed)
+                if not self._queue:
+                    return  # closed and empty
                 batch = self._take_batch()
-            self._flush(batch)
+                self._inflight += len(batch)
+            try:
+                self._flush(batch)
+            finally:
+                with self._state:
+                    self._inflight -= len(batch)
+                    self._served += len(batch)
+                    self._state.notify_all()
 
     def _flush(self, batch: List[_Item]) -> None:
-        task = batch[0][0]
-        instances = [item[1] for item in batch]
         registry = get_registry()
         registry.counter("serve.batches").inc()
         registry.histogram("serve.batch_size").observe(len(batch))
         flush_start = perf_counter()
         try:
-            predictions = self.predictor.predict_batch(task, instances)
+            predictions = self.predictor.predict_batch(
+                batch[0][0], [item[1] for item in batch])
         except Exception as error:  # propagate to every waiting caller
             self._attribute_spans(batch, flush_start)
             for item in batch:

@@ -16,7 +16,7 @@ pre-trained weights.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.core.linearize import Linearizer
 from repro.core.model import TURLModel
@@ -145,27 +145,3 @@ def build_serving_bundle(model: TURLModel, linearizer: Linearizer,
                           cache_size=cache_size, journal=journal)
     return ServingBundle(predictor=predictor, examples=examples)
 
-
-def build_serving_fleet(model: TURLModel, linearizer: Linearizer,
-                        kb: KnowledgeBase, splits: CorpusSplits,
-                        workers: int = 2,
-                        max_queue: Optional[int] = None,
-                        journal: Optional[RunJournal] = None,
-                        **bundle_kwargs) -> "Tuple[Any, ServingBundle]":
-    """One-stop fleet construction: bundle + :class:`PredictorFleet`.
-
-    Builds the six-task bundle exactly as :func:`build_serving_bundle`
-    (pass its keyword arguments through ``bundle_kwargs``), then clones the
-    predictor into ``workers`` cache-partitioned lanes.  Returns
-    ``(fleet, bundle)`` — the bundle keeps the example instances and the
-    template predictor (the single-worker parity reference).
-    """
-    from repro.serve.fleet import DEFAULT_MAX_QUEUE, PredictorFleet
-
-    bundle = build_serving_bundle(model, linearizer, kb, splits,
-                                  journal=journal, **bundle_kwargs)
-    fleet = PredictorFleet(
-        bundle.predictor, workers=workers,
-        max_queue=DEFAULT_MAX_QUEUE if max_queue is None else max_queue,
-        journal=journal)
-    return fleet, bundle

@@ -7,7 +7,7 @@ whole Transformer stack.  :class:`EncodeCache` mirrors the keying approach
 of :func:`repro.core.visibility.cached_visibility` — content bytes of the
 structure-defining arrays — but digests them (a batch is orders of
 magnitude larger than a structure triple) and guards every lookup with a
-lock so HTTP handler threads and the micro-batcher worker can share one
+lock so HTTP handler threads and serving lanes can share one
 instance.
 
 The model only ever consults the cache when it is in eval mode with

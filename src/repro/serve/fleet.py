@@ -1,33 +1,36 @@
-"""A multi-worker serving fleet with cache-aware request routing.
+"""Every server is a fleet: N coalescing lanes behind content routing.
 
 One :class:`~repro.serve.predictor.Predictor` bounds serving throughput in
 two ways: every request funnels through one queue, and one encode cache of
 capacity ``C`` thrashes as soon as live traffic touches more than ``C``
-distinct tables.  The fleet fixes both with N workers that *partition the
-table keyspace* instead of competing over it:
+distinct tables.  The fleet fixes both with N lanes that *partition the
+table keyspace* instead of competing over it; ``workers=1`` is the
+single-predictor deployment, with the same lane, backpressure and drain:
 
-- each :class:`FleetWorker` owns a private :class:`Predictor` clone — own
-  :class:`~repro.serve.cache.EncodeCache`, shared read-only weights (see
-  :func:`clone_predictor`; pair with ``load_checkpoint(..., mmap=True)``
-  for one on-disk weight copy across the whole fleet);
+- each lane is a :class:`~repro.serve.batcher.MicroBatcher` over a private
+  :class:`Predictor` clone — own :class:`~repro.serve.cache.EncodeCache`,
+  shared read-only weights (see :func:`clone_predictor`; pair with
+  ``load_checkpoint(..., mmap=True)`` for one on-disk weight copy across
+  the whole fleet) — that coalesces queued requests per task;
 - the :class:`PredictorFleet` dispatcher routes every request by the
   blake2b content digest of its table payload over a consistent-hash
   :class:`~repro.serve.ring.HashRing`, so repeats of a table always hit
-  the worker whose cache already holds it, and the fleet's *aggregate*
-  cache capacity is ``N x C``;
-- per-worker queues are bounded: a full queue raises
-  :class:`FleetSaturated` (HTTP 429) instead of buffering unboundedly, and
-  a draining/stopped fleet raises :class:`FleetUnavailable` (HTTP 503) —
-  callers always get a typed answer, never a silent hang;
+  the lane whose cache already holds it, and the fleet's *aggregate*
+  cache capacity is ``N x C`` (one lane skips the hashing);
+- lane queues are bounded: a full queue raises :class:`FleetSaturated`
+  (HTTP 429) instead of buffering unboundedly, and a draining/stopped
+  fleet raises :class:`FleetUnavailable` (HTTP 503) — callers always get
+  a typed answer, never a silent hang;
 - :meth:`PredictorFleet.drain` parks intake, finishes every queued
   request (no lost futures), and makes weight swaps legal:
   :meth:`PredictorFleet.reload_state` rebinds the shared parameters in
   place, clears the now-stale encode caches, and :meth:`resume` reopens
   intake.
 
-Metric names: per-worker caches report ``serve.worker<i>.cache.*``; the
-fleet-wide rollup (counter-summed, *not* rate-averaged — see
-:meth:`EncodeCache.aggregate`) keeps the historical
+Metric names: lanes count accepted instances under
+``serve.worker<i>.requests`` and their caches report
+``serve.worker<i>.cache.*``; the fleet-wide rollup (counter-summed, *not*
+rate-averaged — see :meth:`EncodeCache.aggregate`) keeps the historical
 ``serve.encode_cache.hit_rate`` gauge honest, and rejections count under
 ``serve.fleet.rejected.<class>``.
 """
@@ -36,36 +39,20 @@ from __future__ import annotations
 
 import copy
 import threading
-from collections import deque
 from concurrent.futures import Future
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs import RunJournal, get_registry
 from repro.serve.adapters import Prediction
+from repro.serve.batcher import (
+    DEFAULT_MAX_QUEUE,
+    FleetError,
+    FleetUnavailable,
+    MicroBatcher,
+)
 from repro.serve.cache import EncodeCache
 from repro.serve.predictor import Predictor
 from repro.serve.ring import DEFAULT_REPLICAS, HashRing, route_key_for
-
-#: Default bound on each worker's queue before submissions get a 429.
-DEFAULT_MAX_QUEUE = 64
-
-
-class FleetError(RuntimeError):
-    """Base class for typed fleet rejections; carries an HTTP status."""
-
-    status = 500
-
-
-class FleetSaturated(FleetError):
-    """The routed worker's queue is full — back off and retry (429)."""
-
-    status = 429
-
-
-class FleetUnavailable(FleetError):
-    """The fleet is draining or stopped, not accepting work (503)."""
-
-    status = 503
 
 
 def pin_eval(module: Any) -> None:
@@ -114,146 +101,21 @@ def clone_predictor(template: Predictor, name: str,
                      enable_cache=enable_cache, journal=journal, name=name)
 
 
-class _Work:
-    """One queued request: a (mode, task, items) triple plus its future."""
-
-    __slots__ = ("mode", "task", "items", "future")
-
-    def __init__(self, mode: str, task: str, items: Sequence[Any]):
-        self.mode = mode  # "instances" -> predict_batch, "payloads" -> JSON
-        self.task = task
-        self.items = list(items)
-        self.future: "Future[List[Any]]" = Future()
-
-
-class FleetWorker:
-    """One serving lane: a bounded queue drained by a dedicated thread.
-
-    The thread owns the worker's :class:`Predictor` exclusively, so each
-    lane is internally race-free; cross-lane safety comes from shared
-    state being read-only (weights) or locked (visibility cache).
-    """
-
-    def __init__(self, name: str, predictor: Predictor,
-                 max_queue: int = DEFAULT_MAX_QUEUE):
-        if max_queue < 1:
-            raise ValueError(f"max_queue must be >= 1, got {max_queue}")
-        self.name = name
-        self.predictor = predictor
-        self.max_queue = max_queue
-        self._queue: "deque[_Work]" = deque()
-        self._state = threading.Condition()
-        self._accepting = True
-        self._closed = False
-        self._inflight = 0
-        self._served = 0
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name=f"repro-fleet-{name}")
-        self._thread.start()
-
-    # -- intake --------------------------------------------------------
-    def submit(self, mode: str, task: str,
-               items: Sequence[Any]) -> "Future[List[Any]]":
-        work = _Work(mode, task, items)
-        with self._state:
-            if self._closed or not self._accepting:
-                raise FleetUnavailable(
-                    f"{self.name} is not accepting requests (draining or "
-                    "stopped)")
-            if len(self._queue) >= self.max_queue:
-                raise FleetSaturated(
-                    f"{self.name} queue is full "
-                    f"({self.max_queue} pending); retry later")
-            self._queue.append(work)
-            self._state.notify_all()
-        get_registry().counter(f"serve.{self.name}.requests").inc(len(work.items))
-        return work.future
-
-    # -- lifecycle -----------------------------------------------------
-    def pause(self) -> None:
-        """Stop accepting new work; queued work still runs."""
-        with self._state:
-            self._accepting = False
-
-    def resume(self) -> None:
-        with self._state:
-            if self._closed:
-                raise FleetUnavailable(f"{self.name} is stopped")
-            self._accepting = True
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Park intake and wait until every accepted request completed.
-
-        Returns ``True`` once idle (``False`` on timeout).  No future is
-        ever dropped: everything that :meth:`submit` accepted resolves.
-        """
-        with self._state:
-            self._accepting = False
-            return self._state.wait_for(
-                lambda: not self._queue and self._inflight == 0,
-                timeout=timeout)
-
-    def close(self, timeout: Optional[float] = None) -> None:
-        """Drain, then stop the lane thread."""
-        self.drain(timeout=timeout)
-        with self._state:
-            self._closed = True
-            self._state.notify_all()
-        self._thread.join(timeout=timeout)
-
-    # -- introspection -------------------------------------------------
-    @property
-    def queue_depth(self) -> int:
-        with self._state:
-            return len(self._queue) + self._inflight
-
-    @property
-    def served(self) -> int:
-        """Instances answered so far (completed work only)."""
-        with self._state:
-            return self._served
-
-    def cache_stats(self) -> Dict[str, float]:
-        return self.predictor.cache_stats()
-
-    # -- the lane thread -----------------------------------------------
-    def _run(self) -> None:
-        while True:
-            with self._state:
-                self._state.wait_for(lambda: self._queue or self._closed)
-                if not self._queue:
-                    return  # closed and empty
-                work = self._queue.popleft()
-                self._inflight += 1
-            try:
-                if work.mode == "payloads":
-                    result = self.predictor.predict_payloads(work.task,
-                                                             work.items)
-                else:
-                    result = self.predictor.predict_batch(work.task,
-                                                          work.items)
-            except BaseException as error:
-                work.future.set_exception(error)
-            else:
-                work.future.set_result(result)
-            finally:
-                with self._state:
-                    self._inflight -= 1
-                    self._served += len(work.items)
-                    self._state.notify_all()
 
 
 class PredictorFleet:
-    """Route requests over N :class:`FleetWorker` lanes by content key.
+    """Route requests over N :class:`MicroBatcher` lanes by content key.
 
     Drop-in superset of the :class:`Predictor` serving surface
     (``predict`` / ``predict_batch`` / ``predict_payloads`` /
     ``cache_stats`` / ``tasks`` / ``adapter_for``), so the HTTP layer and
-    the bench harness treat one worker and a fleet uniformly.
+    the bench harness treat one lane and many uniformly.  Every request
+    enters through :meth:`submit`, one instance at a time.
     """
 
     def __init__(self, template: Predictor, workers: int = 4,
                  max_queue: int = DEFAULT_MAX_QUEUE,
+                 max_batch_size: int = 8,
                  cache_size: Optional[int] = None,
                  replicas: int = DEFAULT_REPLICAS,
                  journal: Optional[RunJournal] = None):
@@ -262,9 +124,10 @@ class PredictorFleet:
         self.template = template
         self.journal = journal
         self.max_queue = max_queue
+        self.max_batch_size = max_batch_size
         self.cache_size = cache_size
         self._lock = threading.Lock()
-        self._workers: Dict[str, FleetWorker] = {}
+        self._workers: Dict[str, MicroBatcher] = {}
         self.ring = HashRing(replicas=replicas)
         self._draining = False
         self._next_index = 0
@@ -284,8 +147,10 @@ class PredictorFleet:
             self._next_index += 1
             predictor = clone_predictor(self.template, name=name,
                                         cache_size=self.cache_size,
-                                        journal=None)
-            worker = FleetWorker(name, predictor, max_queue=self.max_queue)
+                                        journal=self.journal)
+            worker = MicroBatcher(predictor,
+                                  max_batch_size=self.max_batch_size,
+                                  max_queue=self.max_queue, name=name)
             if self._draining:
                 worker.pause()
             self._workers[name] = worker
@@ -345,35 +210,40 @@ class PredictorFleet:
         return {**rollup, "per_worker": per_worker}
 
     # -- routing -------------------------------------------------------
-    def route(self, task: str, payload: Any) -> str:
-        """Name of the worker owning this payload's content key."""
-        return self.ring.route(route_key_for(payload, task=task))
-
-    def _worker(self, name: str) -> FleetWorker:
+    def _lane_for(self, task: str, instance: Any,
+                  payload: Optional[Dict[str, Any]]) -> MicroBatcher:
+        with self._lock:
+            if len(self._workers) == 1:
+                return next(iter(self._workers.values()))
+        if payload is None:
+            payload = self.template.adapter_for(task).encode_instance(instance)
+        name = self.ring.route(route_key_for(payload, task=task))
         with self._lock:
             worker = self._workers.get(name)
         if worker is None:
             raise FleetUnavailable(f"worker {name!r} left the fleet")
         return worker
 
-    def _submit(self, name: str, mode: str, task: str,
-                items: Sequence[Any]) -> "Future[List[Any]]":
-        try:
-            return self._worker(name).submit(mode, task, items)
-        except FleetSaturated:
-            get_registry().counter("serve.fleet.rejected.saturated").inc()
-            raise
-        except FleetUnavailable:
-            get_registry().counter("serve.fleet.rejected.unavailable").inc()
-            raise
+    def route(self, task: str, payload: Dict[str, Any]) -> str:
+        """Name of the lane owning this payload's content key."""
+        return self._lane_for(task, None, payload).name
 
-    def _grouped(self, task: str,
-                 payloads: Sequence[Any]) -> List[Tuple[List[int], str]]:
-        """Group request indices by routed worker, preserving order."""
-        groups: Dict[str, List[int]] = {}
-        for index, payload in enumerate(payloads):
-            groups.setdefault(self.route(task, payload), []).append(index)
-        return [(indices, name) for name, indices in groups.items()]
+    def submit(self, task: str, instance: Any,
+               payload: Optional[Dict[str, Any]] = None) -> "Future":
+        """Enqueue one decoded instance on its lane; resolve via the future.
+
+        ``payload`` is the instance's JSON form, the source of the routing
+        key; when omitted it is encoded from the instance, and only when
+        there is more than one lane to choose from.  Typed rejections
+        count under ``serve.fleet.rejected.<saturated|unavailable>``.
+        """
+        try:
+            return self._lane_for(task, instance, payload).submit(task,
+                                                                  instance)
+        except FleetError as error:
+            get_registry().counter(
+                f"serve.fleet.rejected.{error.reason}").inc()
+            raise
 
     # -- prediction ----------------------------------------------------
     def predict_payloads(self, task: str,
@@ -381,35 +251,24 @@ class PredictorFleet:
                          ) -> List[Dict[str, Any]]:
         """JSON payloads in, JSON predictions out — content-routed.
 
-        Decoding, prediction and re-encoding all happen on the routed
-        worker's lane, so the dispatcher thread never touches the model.
+        Payloads decode on the calling thread; each instance then goes
+        through :meth:`submit`, so lanes only ever run the model.
         """
-        self.template.adapter_for(task)  # unknown task -> KeyError up front
-        futures = []
-        for indices, name in self._grouped(task, payloads):
-            futures.append((indices, self._submit(
-                name, "payloads", task, [payloads[i] for i in indices])))
-        results: List[Optional[Dict[str, Any]]] = [None] * len(payloads)
-        for indices, future in futures:
-            for index, output in zip(indices, future.result()):
-                results[index] = output
-        return results  # type: ignore[return-value]
+        adapter = self.template.adapter_for(task)
+        if self._draining:  # the typed 503 wins over decoding errors
+            raise FleetUnavailable("the fleet is draining or stopped")
+        instances = [adapter.decode_instance(payload) for payload in payloads]
+        futures = [self.submit(task, instance, payload)
+                   for instance, payload in zip(instances, payloads)]
+        return [adapter.encode_prediction(future.result())
+                for future in futures]
 
     def predict_batch(self, task: str,
                       instances: Sequence[Any]) -> List[Prediction]:
         """Instance-level twin of :meth:`Predictor.predict_batch`."""
-        adapter = self.template.adapter_for(task)
-        route_payloads = [adapter.encode_instance(instance)
-                          for instance in instances]
-        futures = []
-        for indices, name in self._grouped(task, route_payloads):
-            futures.append((indices, self._submit(
-                name, "instances", task, [instances[i] for i in indices])))
-        results: List[Optional[Prediction]] = [None] * len(instances)
-        for indices, future in futures:
-            for index, output in zip(indices, future.result()):
-                results[index] = output
-        return results  # type: ignore[return-value]
+        self.template.adapter_for(task)  # unknown task -> KeyError up front
+        futures = [self.submit(task, instance) for instance in instances]
+        return [future.result() for future in futures]
 
     def predict(self, task: str, instance: Any) -> Prediction:
         return self.predict_batch(task, [instance])[0]

@@ -1,32 +1,34 @@
-"""Stdlib JSON-over-HTTP endpoint for the TUBE task predictor.
+"""Stdlib JSON-over-HTTP endpoint in front of a :class:`PredictorFleet`.
 
 Routes:
 
 - ``POST /v1/<task>`` — body ``{"instances": [payload, ...]}`` (or
   ``{"instance": {...}}``); each payload carries a ``Table.to_dict`` blob
   plus the task's fields.  Responds ``{"task": ..., "predictions": [...]}``.
-- ``GET /healthz`` — liveness plus the served task list.
+- ``GET /healthz`` — liveness plus the served task list and lane names.
 - ``GET /metrics`` — the ``repro.obs`` metrics registry and encode-cache
-  counters as JSON; ``GET /metrics?format=prometheus`` — the same registry
-  in Prometheus text exposition (``text/plain; version=0.0.4``).
+  counters (fleet rollup plus ``per_worker``) as JSON;
+  ``GET /metrics?format=prometheus`` — the same registry in Prometheus
+  text exposition (``text/plain; version=0.0.4``).
 
 Every ``/v1`` request runs under its own trace context: the response
 carries an ``X-Request-Id`` header with the trace id, the completed trace
-streams to the predictor's journal as an ``EVENT_TRACE`` record (spans:
-``serve/decode`` → ``serve/wait`` with the batcher-attributed
+streams to the fleet's journal as an ``EVENT_TRACE`` record (spans:
+``serve/decode`` → ``serve/wait`` with the lane-attributed
 ``serve/queue`` / ``serve/predict`` children → ``serve/respond``), one
 ``EVENT_REQUEST`` journal event summarizes (task, status, latency,
 trace id), and 500 bodies echo the trace id for correlation.
 
-Requests are handled on :class:`ThreadingHTTPServer` threads but every
-prediction funnels through a serializing tier: the single
-:class:`~repro.serve.batcher.MicroBatcher` worker (``predictor=``), or the
-content-routed lanes of a :class:`~repro.serve.fleet.PredictorFleet`
-(``fleet=``, which adds typed 429/503 backpressure, per-worker cache
-metrics in ``/metrics``, and a ``workers`` list in ``/healthz``).  Either
-way concurrent clients get deterministic, data-race-free answers.
-:class:`Client` boots a server on an ephemeral port inside the process —
-the test and smoke harness.
+Requests are handled on :class:`ThreadingHTTPServer` threads.  The
+handler decodes payloads on its own thread (malformed input is a 400),
+then submits each instance to its content-routed lane with
+:meth:`PredictorFleet.submit`; lanes coalesce queued instances into task
+batches and are the only threads that run the model, so concurrent
+clients get deterministic, data-race-free answers.  Typed backpressure
+surfaces as 429 (lane saturated, with ``Retry-After``) or 503 (fleet
+draining/stopped).  ``PredictorFleet(template, workers=1)`` is the
+single-predictor deployment.  :class:`Client` boots a server on an
+ephemeral port inside the process — the test and smoke harness.
 """
 
 from __future__ import annotations
@@ -49,46 +51,22 @@ from repro.obs import (
     trace,
 )
 from repro.obs.prometheus import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
-from repro.serve.batcher import MicroBatcher
-from repro.serve.fleet import FleetError, PredictorFleet
-from repro.serve.predictor import Predictor
+from repro.serve.batcher import FleetError
+from repro.serve.fleet import PredictorFleet
 
 API_PREFIX = "/v1/"
 
 
 class PredictionServer:
-    """Own the HTTP server plus the tier feeding it predictions.
+    """Own the HTTP server plus the fleet feeding it predictions."""
 
-    Two backends share one HTTP surface:
-
-    - ``predictor=`` — the single-worker tier: requests funnel through the
-      :class:`MicroBatcher` into one :class:`Predictor`;
-    - ``fleet=`` — the multi-worker tier: requests route by table-content
-      key straight onto :class:`PredictorFleet` lanes (no micro-batcher —
-      the fleet's bounded per-worker queues take its place), and typed
-      backpressure surfaces as 429 (lane saturated, with ``Retry-After``)
-      or 503 (fleet draining/stopped).
-    """
-
-    def __init__(self, predictor: Optional[Predictor] = None,
-                 host: str = "127.0.0.1",
-                 port: int = 0, max_batch_size: int = 8,
-                 max_wait_ms: float = 5.0,
-                 fleet: Optional[PredictorFleet] = None):
-        if (predictor is None) == (fleet is None):
-            raise ValueError("pass exactly one of predictor= or fleet=")
+    def __init__(self, fleet: PredictorFleet, host: str = "127.0.0.1",
+                 port: int = 0):
         self.fleet = fleet
-        self.predictor = predictor if predictor is not None else fleet.template
         if isinstance(get_registry(), NullRegistry):
             # /metrics is part of the contract; make sure it records.
             enable_metrics()
-        self.batcher = None
-        if fleet is None:
-            self.batcher = MicroBatcher(predictor,
-                                        max_batch_size=max_batch_size,
-                                        max_wait_ms=max_wait_ms)
-        handler = _build_handler(self.predictor, self.batcher, fleet)
-        self._http = ThreadingHTTPServer((host, port), handler)
+        self._http = ThreadingHTTPServer((host, port), _build_handler(fleet))
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -120,21 +98,19 @@ class PredictionServer:
             self._thread = None
 
     def close(self) -> None:
-        """Release the socket and drain the serving tier.  For the
-        foreground :meth:`serve_forever` path, call this after the loop
-        exits (e.g. on ``KeyboardInterrupt``) — ``shutdown()`` would
-        deadlock there."""
+        """Release the socket and drain the fleet.  For the foreground
+        :meth:`serve_forever` path, call this after the loop exits (e.g.
+        on ``KeyboardInterrupt``) — ``shutdown()`` would deadlock there."""
         self._http.server_close()
-        if self.batcher is not None:
-            self.batcher.close()
-        if self.fleet is not None:
-            self.fleet.close()
+        self.fleet.close()
 
 
-def _build_handler(predictor: Predictor, batcher: Optional[MicroBatcher],
-                   fleet: Optional[PredictorFleet] = None):
+def _build_handler(fleet: PredictorFleet):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # Headers and body go out in two writes; with Nagle on, a
+        # keep-alive client waits out its delayed ACK on every response.
+        disable_nagle_algorithm = True
 
         # -- plumbing -----------------------------------------------------
         def log_message(self, format: str, *args: Any) -> None:
@@ -164,22 +140,13 @@ def _build_handler(predictor: Predictor, batcher: Optional[MicroBatcher],
             self.wfile.write(body)
 
         # -- routes -------------------------------------------------------
-        def _cache_stats(self) -> Dict[str, Any]:
-            """Fleet rollup when serving a fleet, else the single cache."""
-            if fleet is not None:
-                return fleet.cache_stats()
-            return predictor.cache_stats()
-
         def do_GET(self) -> None:
             parsed = urllib.parse.urlsplit(self.path)
             if parsed.path == "/healthz":
-                health: Dict[str, Any] = {"status": "ok",
-                                          "tasks": predictor.tasks}
-                if fleet is not None:
-                    health["workers"] = fleet.worker_names
-                self._respond(200, health)
+                self._respond(200, {"status": "ok", "tasks": fleet.tasks,
+                                    "workers": fleet.worker_names})
             elif parsed.path == "/metrics":
-                stats = self._cache_stats()
+                stats = fleet.cache_stats()
                 query = urllib.parse.parse_qs(parsed.query)
                 if query.get("format", [""])[0] == "prometheus":
                     registry = get_registry()
@@ -208,28 +175,25 @@ def _build_handler(predictor: Predictor, batcher: Optional[MicroBatcher],
                 return
             task = self.path[len(API_PREFIX):].strip("/")
             with start_trace(f"serve/{task}",
-                             journal=predictor.journal) as context:
+                             journal=fleet.journal) as context:
                 status, n_instances = self._predict_route(task,
                                                           context.trace_id)
-            if predictor.journal is not None:
-                predictor.journal.event(EVENT_REQUEST, task=task,
-                                        status=status,
-                                        seconds=context.wall_seconds,
-                                        trace_id=context.trace_id,
-                                        instances=n_instances)
+            if fleet.journal is not None:
+                fleet.journal.event(EVENT_REQUEST, task=task, status=status,
+                                    seconds=context.wall_seconds,
+                                    trace_id=context.trace_id,
+                                    instances=n_instances)
 
         def _predict_route(self, task: str,
                            trace_id: str) -> Tuple[int, int]:
             """Serve one ``/v1/<task>`` request; returns (status, n)."""
             try:
-                adapter = predictor.adapter_for(task)
+                adapter = fleet.adapter_for(task)
             except KeyError:
                 self._respond(404, {"error": f"unknown task {task!r}",
-                                    "tasks": predictor.tasks}, trace_id)
+                                    "tasks": fleet.tasks}, trace_id)
                 return 404, 0
             length = int(self.headers.get("Content-Length", 0))
-            if fleet is not None:
-                return self._predict_via_fleet(task, trace_id, length)
             try:
                 with trace("serve/decode"):
                     request = json.loads(self.rfile.read(length) or b"{}")
@@ -240,42 +204,12 @@ def _build_handler(predictor: Predictor, batcher: Optional[MicroBatcher],
                 self._respond(400, {"error": f"bad request: {error}"},
                               trace_id)
                 return 400, 0
-            with trace("serve/wait"):
-                futures = [batcher.submit(task, instance)
-                           for instance in instances]
-                try:
-                    predictions = [future.result() for future in futures]
-                except Exception as error:  # any failure -> 500, keep serving
-                    self._respond(500, {"error": f"prediction failed: {error}",
-                                        "trace_id": trace_id}, trace_id)
-                    return 500, len(instances)
-            with trace("serve/respond"):
-                self._respond(200, {
-                    "task": task,
-                    "predictions": [adapter.encode_prediction(p)
-                                    for p in predictions],
-                }, trace_id)
-            return 200, len(instances)
-
-        def _predict_via_fleet(self, task: str, trace_id: str,
-                               length: int) -> Tuple[int, int]:
-            """Content-routed prediction with typed 429/503 backpressure.
-
-            Decoding happens on the routed worker's lane, so malformed
-            payloads surface through the future — decode-class exceptions
-            (ValueError/KeyError/TypeError) still map to 400.
-            """
-            try:
-                with trace("serve/decode"):
-                    request = json.loads(self.rfile.read(length) or b"{}")
-                    payloads = self._payloads_of(request)
-            except (ValueError, KeyError, TypeError) as error:
-                self._respond(400, {"error": f"bad request: {error}"},
-                              trace_id)
-                return 400, 0
             try:
                 with trace("serve/wait"):
-                    predictions = fleet.predict_payloads(task, payloads)
+                    futures = [fleet.submit(task, instance, payload)
+                               for instance, payload
+                               in zip(instances, payloads)]
+                    predictions = [future.result() for future in futures]
             except FleetError as error:
                 headers = ({"Retry-After": "1"}
                            if error.status == 429 else None)
@@ -283,19 +217,18 @@ def _build_handler(predictor: Predictor, batcher: Optional[MicroBatcher],
                               {"error": str(error),
                                "error_class": type(error).__name__},
                               trace_id, extra_headers=headers)
-                return error.status, len(payloads)
-            except (ValueError, KeyError, TypeError) as error:
-                self._respond(400, {"error": f"bad request: {error}"},
-                              trace_id)
-                return 400, len(payloads)
+                return error.status, len(instances)
             except Exception as error:  # any failure -> 500, keep serving
                 self._respond(500, {"error": f"prediction failed: {error}",
                                     "trace_id": trace_id}, trace_id)
-                return 500, len(payloads)
+                return 500, len(instances)
             with trace("serve/respond"):
-                self._respond(200, {"task": task,
-                                    "predictions": predictions}, trace_id)
-            return 200, len(payloads)
+                self._respond(200, {
+                    "task": task,
+                    "predictions": [adapter.encode_prediction(p)
+                                    for p in predictions],
+                }, trace_id)
+            return 200, len(instances)
 
         @staticmethod
         def _payloads_of(request: Dict[str, Any]) -> List[Dict[str, Any]]:
@@ -315,14 +248,8 @@ class Client:
     """In-process client: boots a :class:`PredictionServer` and speaks its
     JSON protocol over a real socket (loopback, ephemeral port)."""
 
-    def __init__(self, predictor: Optional[Predictor] = None,
-                 max_batch_size: int = 8,
-                 max_wait_ms: float = 5.0,
-                 fleet: Optional[PredictorFleet] = None):
-        self.server = PredictionServer(predictor,
-                                       max_batch_size=max_batch_size,
-                                       max_wait_ms=max_wait_ms,
-                                       fleet=fleet).start()
+    def __init__(self, fleet: PredictorFleet):
+        self.server = PredictionServer(fleet).start()
 
     # -- HTTP plumbing ----------------------------------------------------
     def _request_raw(self, path: str, body: Optional[Dict[str, Any]] = None

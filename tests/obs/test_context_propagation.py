@@ -1,7 +1,7 @@
-"""Trace-context propagation through the serving micro-batcher.
+"""Trace-context propagation through a serving lane.
 
-The satellite guarantee: a request traced through ``Client ->
-MicroBatcher`` worker threads yields one connected trace, and concurrent
+The guarantee: a request traced through ``Client -> MicroBatcher`` lane
+threads yields one connected trace, and concurrent
 requests never interleave each other's span stacks — even under a
 threaded stress load."""
 
@@ -21,13 +21,13 @@ class _EchoPredictor:
 
 def test_single_request_yields_one_connected_trace():
     predictor = _EchoPredictor()
-    with MicroBatcher(predictor, max_batch_size=4, max_wait_ms=1.0) as batcher:
+    with MicroBatcher(predictor, max_batch_size=4) as batcher:
         with start_trace("serve/entity_linking") as context:
             with trace("serve/wait"):
                 result = batcher.submit("entity_linking", {"row": 0}).result()
     assert result["task"] == "entity_linking"
     by_name = {span.name: span for span in context.spans}
-    # the batcher worker attributed its spans back into the request trace
+    # the lane thread attributed its spans back into the request trace
     assert {"serve/wait", "serve/queue", "serve/predict"} <= set(by_name)
     wait_index = context.spans.index(by_name["serve/wait"])
     assert by_name["serve/queue"].parent == wait_index
@@ -48,8 +48,7 @@ def test_batched_requests_each_get_their_own_spans():
                 batcher.submit("entity_linking", i).result()
         contexts[i] = context
 
-    with MicroBatcher(predictor, max_batch_size=4,
-                      max_wait_ms=50.0) as batcher:
+    with MicroBatcher(predictor, max_batch_size=4) as batcher:
         threads = [threading.Thread(target=request, args=(i,))
                    for i in range(4)]
         for thread in threads:
@@ -86,8 +85,7 @@ def test_threaded_stress_never_interleaves_span_stacks():
         except Exception as error:  # surface in the main thread
             errors.append(error)
 
-    with MicroBatcher(predictor, max_batch_size=8,
-                      max_wait_ms=1.0) as batcher:
+    with MicroBatcher(predictor, max_batch_size=8) as batcher:
         for round_index in range(3):
             threads = [
                 threading.Thread(target=request, args=(round_index, i))
@@ -102,6 +100,6 @@ def test_threaded_stress_never_interleaves_span_stacks():
 
 def test_untraced_submitters_are_untouched():
     predictor = _EchoPredictor()
-    with MicroBatcher(predictor, max_batch_size=2, max_wait_ms=1.0) as batcher:
+    with MicroBatcher(predictor, max_batch_size=2) as batcher:
         result = batcher.predict("entity_linking", {"row": 1})
     assert result["instance"] == {"row": 1}

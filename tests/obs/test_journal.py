@@ -1,6 +1,8 @@
 """JSONL journal round-trip and the report summarizer."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -59,6 +61,38 @@ def test_write_after_close_raises(tmp_path):
     journal.close()
     with pytest.raises(ValueError):
         journal.step(1, loss=1.0)
+
+
+def test_concurrent_writers_never_interleave_lines(tmp_path):
+    """Serving handler threads and lanes share one journal."""
+    path = str(tmp_path / "shared.jsonl")
+    payload = "x" * 512  # long lines widen the window for a torn write
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        with RunJournal(path) as journal:
+            def write(writer):
+                for index in range(500):
+                    journal.event("serve_request", writer=writer,
+                                  index=index, payload=payload)
+
+            threads = [threading.Thread(target=write, args=(writer,))
+                       for writer in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert journal.n_events == 4000
+    finally:
+        sys.setswitchinterval(interval)
+    with open(path) as handle:
+        lines = handle.read().splitlines()
+    events = [json.loads(line) for line in lines]  # every line parses
+    assert len(events) == 4000
+    for writer in range(8):
+        assert [e["index"] for e in events if e["writer"] == writer] == \
+            list(range(500))
 
 
 def test_summary_math(tmp_path):

@@ -1,7 +1,7 @@
 """Fleet stress suite: concurrent parity, backpressure, drain, reload.
 
-The headline assertion: a multi-worker fleet driven by 8 threads of mixed
-six-task traffic answers every request bit-identically to the single-worker
+The headline assertion: a multi-lane fleet driven by 8 threads of mixed
+six-task traffic answers every request bit-identically to the
 :class:`Predictor` it was cloned from.  Plus the lifecycle contracts —
 typed 429s once a lane's queue is full, typed 503s while draining, no lost
 futures on drain/close, and weight reloads only under drain.
@@ -12,7 +12,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.obs import get_registry
+from repro.obs import RunJournal, get_registry, read_journal
 from repro.serve import (
     EncodeCache,
     FleetSaturated,
@@ -105,6 +105,23 @@ def test_same_table_always_lands_on_same_worker(fleet, mixed_payloads):
             assert len(owners) == 1
 
 
+def test_single_lane_matches_predictor_without_hashing(bundle, monkeypatch):
+    import repro.serve.fleet as fleet_module
+
+    def no_hashing(*args, **kwargs):
+        raise AssertionError("a one-lane fleet hashed a table to route it")
+
+    monkeypatch.setattr(fleet_module, "route_key_for", no_hashing)
+    with PredictorFleet(bundle.predictor, workers=1) as fleet:
+        for task, instances in sorted(bundle.examples.items()):
+            direct = bundle.predictor.predict_batch(task, instances)
+            routed = fleet.predict_batch(task, instances)
+            assert ([p.to_dict() for p in routed]
+                    == [p.to_dict() for p in direct])
+            payload = fleet.adapter_for(task).encode_instance(instances[0])
+            assert fleet.route(task, payload) == "worker0"
+
+
 def test_unknown_task_raises_key_error(fleet):
     with pytest.raises(KeyError):
         fleet.predict_payloads("no_such_task", [{}])
@@ -117,14 +134,14 @@ def test_saturated_queue_raises_typed_429(bundle):
         worker = fleet._workers["worker0"]
         gate = threading.Event()
         entered = threading.Event()
-        original = worker.predictor.predict_payloads
+        original = worker.predictor.predict_batch
 
-        def gated(task, payloads):
+        def gated(task, instances):
             entered.set()
             gate.wait(timeout=10)
-            return original(task, payloads)
+            return original(task, instances)
 
-        worker.predictor.predict_payloads = gated
+        worker.predictor.predict_batch = gated
         task = "schema_augmentation"
         adapter = bundle.predictor.adapter_for(task)
         payload = adapter.encode_instance(bundle.examples[task][0])
@@ -185,16 +202,17 @@ def test_drain_completes_all_accepted_futures(bundle, mixed_payloads):
     payloads, expected = mixed_payloads
     task = "schema_augmentation"
     with PredictorFleet(bundle.predictor, workers=2, max_queue=32) as fleet:
+        adapter = fleet.adapter_for(task)
         futures = []
         for _ in range(4):
             for index, payload in enumerate(payloads[task]):
-                name = fleet.route(task, payload)
-                futures.append((index, fleet._submit(name, "payloads", task,
-                                                     [payload])))
+                instance = adapter.decode_instance(payload)
+                futures.append((index, fleet.submit(task, instance, payload)))
         assert fleet.drain(timeout=30)
         for index, future in futures:
             assert future.done()
-            assert future.result() == [expected[task][index]]
+            assert (adapter.encode_prediction(future.result())
+                    == expected[task][index])
 
 
 def test_close_is_idempotent_and_final(bundle):
@@ -247,6 +265,20 @@ def test_add_and_remove_worker_preserve_parity(bundle, mixed_payloads):
 
 
 # -- metrics -----------------------------------------------------------------
+
+def test_lanes_write_to_the_fleet_journal(bundle, mixed_payloads, tmp_path):
+    payloads, _ = mixed_payloads
+    task = "schema_augmentation"
+    journal = RunJournal(str(tmp_path / "fleet.jsonl"))
+    with PredictorFleet(bundle.predictor, workers=2,
+                        journal=journal) as fleet:
+        fleet.predict_payloads(task, payloads[task])
+    journal.close()
+    served = [event for event in read_journal(journal.path)
+              if event["event"] == "serve_request"]
+    assert sum(event["instances"] for event in served) == len(payloads[task])
+    assert {event["task"] for event in served} == {task}
+
 
 def test_cache_stats_aggregate_is_traffic_weighted(fleet, mixed_payloads):
     payloads, _ = mixed_payloads

@@ -1,13 +1,16 @@
 """HTTP round-trips through the in-process Client: every task answers over
 a real loopback socket, error paths return typed statuses, /metrics
 reflects traffic, and concurrent clients get deterministic answers — for
-both the single-worker tier and the content-routed fleet tier.
+a one-lane fleet (``client``) and a two-lane fleet (``fleet_client``).
 """
 
+import http.client
+import statistics
 import threading
 
 import pytest
 
+from repro.obs.clock import perf_counter
 from repro.serve import Client, PredictorFleet
 
 TASKS = ("entity_linking", "column_type", "relation_extraction",
@@ -16,14 +19,15 @@ TASKS = ("entity_linking", "column_type", "relation_extraction",
 
 @pytest.fixture(scope="module")
 def client(predictor):
-    with Client(predictor, max_batch_size=4, max_wait_ms=5.0) as active:
+    with Client(PredictorFleet(predictor, workers=1,
+                               max_batch_size=4)) as active:
         yield active
 
 
 @pytest.fixture(scope="module")
 def fleet_client(bundle):
     fleet = PredictorFleet(bundle.predictor, workers=2, max_queue=16)
-    with Client(fleet=fleet) as active:
+    with Client(fleet) as active:
         yield active
 
 
@@ -137,6 +141,75 @@ def test_fleet_draining_returns_503_and_resume_recovers(bundle,
     assert body["error_class"] == "FleetUnavailable"
     fleet.resume()
     assert fleet_client.predict("schema_augmentation", payload)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_backpressure_statuses(bundle, workers):
+    """A full lane answers 429 with Retry-After, a draining fleet 503, and
+    every accepted request still gets its 200."""
+    adapter = bundle.predictor.adapter_for("schema_augmentation")
+    payload = adapter.encode_instance(
+        bundle.examples["schema_augmentation"][0])
+    fleet = PredictorFleet(bundle.predictor, workers=workers, max_queue=1)
+    lane = fleet._workers[fleet.route("schema_augmentation", payload)]
+    gate, entered = threading.Event(), threading.Event()
+    original = lane.predictor.predict_batch
+
+    def gated(task, instances):
+        entered.set()
+        gate.wait(timeout=10)
+        return original(task, instances)
+
+    lane.predictor.predict_batch = gated
+    with Client(fleet) as client:
+        statuses = []
+        senders = [threading.Thread(target=lambda: statuses.append(
+            client.post("schema_augmentation", {"instance": payload})[0]))
+            for _ in range(2)]
+        try:
+            senders[0].start()
+            assert entered.wait(timeout=10)
+            senders[1].start()
+            pause = threading.Event()
+            for _ in range(500):  # 1 in flight + 1 queued = a full lane
+                if lane.queue_depth >= 2:
+                    break
+                pause.wait(0.01)
+            assert lane.queue_depth >= 2
+            status, _, headers = client.post_with_headers(
+                "schema_augmentation", {"instance": payload})
+            assert status == 429 and headers.get("Retry-After") == "1"
+        finally:
+            gate.set()
+            for sender in senders:
+                sender.join(timeout=30)
+        assert not any(sender.is_alive() for sender in senders)
+        assert statuses == [200, 200]
+        assert fleet.drain(timeout=10)
+        status, body = client.post("schema_augmentation",
+                                   {"instance": payload})
+        assert (status, body["error_class"]) == (503, "FleetUnavailable")
+        fleet.resume()
+        assert client.predict("schema_augmentation", payload)
+
+
+def test_keep_alive_requests_do_not_stall(client):
+    """Headers and body leave in two writes; with Nagle on, every response
+    on a reused connection waits out the client's delayed ACK (~40 ms)."""
+    host, port = client.server.address
+    connection = http.client.HTTPConnection(host, port, timeout=10)
+    elapsed = []
+    try:
+        for _ in range(12):
+            begin = perf_counter()
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status == 200
+            response.read()
+            elapsed.append(perf_counter() - begin)
+    finally:
+        connection.close()
+    assert statistics.median(elapsed) < 0.020
 
 
 def test_concurrent_requests_are_deterministic(bundle, client):

@@ -7,26 +7,29 @@ import threading
 import pytest
 
 from repro.obs import EVENT_REQUEST, EVENT_TRACE, RunJournal, read_journal
-from repro.serve import Client
-from repro.serve.predictor import Predictor
+from repro.serve import Client, Predictor, PredictorFleet
 
 
 @pytest.fixture(scope="module")
 def client(predictor):
-    with Client(predictor, max_batch_size=4, max_wait_ms=5.0) as active:
+    with Client(PredictorFleet(predictor, workers=1,
+                               max_batch_size=4)) as active:
         yield active
 
 
 @pytest.fixture()
-def journal_client(bundle, tmp_path):
-    """A server whose predictor streams requests/traces to a journal.
+def journal_client(bundle, tmp_path, request):
+    """A server whose fleet streams requests/traces to a journal; the lane
+    count is the fixture parameter (default 1).
 
     Shares the bundle's adapters and encode cache so the session-scoped
     predictor is left exactly as it was."""
     journal = RunJournal(str(tmp_path / "serve.jsonl"))
     predictor = Predictor(list(bundle.predictor.adapters.values()),
-                          cache=bundle.predictor.cache, journal=journal)
-    with Client(predictor, max_batch_size=4, max_wait_ms=5.0) as active:
+                          cache=bundle.predictor.cache)
+    fleet = PredictorFleet(predictor, workers=getattr(request, "param", 1),
+                           max_batch_size=4, journal=journal)
+    with Client(fleet) as active:
         yield active, journal
     journal.close()
 
@@ -79,33 +82,17 @@ def test_prometheus_endpoint_content_type_and_families(bundle, client):
 
 # -- 500s carry the trace id -------------------------------------------------
 
-class _ExplodingAdapter:
-    task_name = "entity_linking"
+def test_500_body_echoes_trace_id(bundle, tmp_path):
+    journal = RunJournal(str(tmp_path / "boom.jsonl"))
+    fleet = PredictorFleet(bundle.predictor, workers=1, journal=journal)
 
-    class _Model:
-        pass  # predictor installs the encode cache onto this attribute bag
-
-    def __init__(self):
-        self._model = self._Model()
-
-    @property
-    def model(self):
-        return self._model
-
-    def decode_instance(self, payload):
-        return payload
-
-    def predict_batch(self, instances):
+    def explode(task, instances):
         raise RuntimeError("adapter exploded")
 
-
-def test_500_body_echoes_trace_id(tmp_path):
-    journal = RunJournal(str(tmp_path / "boom.jsonl"))
-    predictor = Predictor([_ExplodingAdapter()], enable_cache=False,
-                          journal=journal)
-    with Client(predictor, max_batch_size=2, max_wait_ms=1.0) as client:
+    fleet._workers["worker0"].predictor.predict_batch = explode
+    with Client(fleet) as client:
         status, body, headers = client.post_with_headers(
-            "entity_linking", {"instance": {"row": 0}})
+            "entity_linking", {"instance": _linking_payload(bundle)})
     journal.close()
     assert status == 500
     assert "prediction failed" in body["error"]
@@ -119,22 +106,29 @@ def test_500_body_echoes_trace_id(tmp_path):
 
 # -- journal events per request ----------------------------------------------
 
+def _journaled(journal, kind, count):
+    """The journal once it holds ``count`` events of ``kind``.
+
+    Traces and request summaries are journaled AFTER the response bytes
+    reach the client (they record the final status and wall time), so
+    give the handler thread a moment to finish writing."""
+    pause = threading.Event()
+    for _ in range(200):
+        events = read_journal(journal.path)
+        if sum(e["event"] == kind for e in events) >= count:
+            break
+        pause.wait(0.01)
+    return events
+
+
 def test_each_request_journals_summary_and_trace(bundle, journal_client):
     client, journal = journal_client
     payload = _linking_payload(bundle)
     client.predict("entity_linking", payload)
     status, _ = client.post("no_such_task", {"instance": {}})
     assert status == 404
-    # The request summary is journaled AFTER the response bytes reach the
-    # client (it records the final status and wall time), so give the
-    # handler thread a moment to finish writing.
-    pause = threading.Event()
-    for _ in range(200):
-        events = read_journal(journal.path)
-        requests = [e for e in events if e["event"] == EVENT_REQUEST]
-        if len(requests) >= 2:
-            break
-        pause.wait(0.01)
+    events = _journaled(journal, EVENT_REQUEST, 2)
+    requests = [e for e in events if e["event"] == EVENT_REQUEST]
     traces = [e for e in events if e["event"] == EVENT_TRACE]
     assert [(e["task"], e["status"], e["instances"]) for e in requests] == [
         ("entity_linking", 200, 1), ("no_such_task", 404, 0)]
@@ -163,10 +157,11 @@ def _root_coverage(trace_event):
     return covered / trace_event["wall_seconds"]
 
 
+@pytest.mark.parametrize("journal_client", [1, 2], indirect=True)
 def test_entity_linking_trace_covers_request_wall_time(bundle, journal_client):
     client, journal = journal_client
     client.predict("entity_linking", _linking_payload(bundle))
-    (trace_event,) = [e for e in read_journal(journal.path)
+    (trace_event,) = [e for e in _journaled(journal, EVENT_TRACE, 1)
                       if e["event"] == EVENT_TRACE]
     spans = trace_event["spans"]
     by_name = {span["name"]: span for span in spans}

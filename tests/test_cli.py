@@ -131,58 +131,94 @@ def test_bench_command_rejects_unknown_case(capsys):
     assert "unknown bench case" in capsys.readouterr().out
 
 
-def test_bench_compare_gate(capsys, tmp_path):
+@pytest.fixture
+def tiny_bench(monkeypatch):
+    """Register one millisecond-scale case in place of the default suite.
+
+    The gate plumbing does not need the full-size cases; CI's bench-gate
+    job still runs those against the committed baseline.  Returns the
+    list of case names whose ``run`` executed, in order."""
+    from repro.bench import BenchCase
+
+    ran = []
+
+    def run(_):
+        ran.append("tiny_sum")
+        return float(sum(range(200_000)))
+
+    def reference(_):
+        total = 0
+        for value in range(200_000):
+            total += value
+        return float(total)
+
+    case = BenchCase(name="tiny_sum", setup=lambda: None, run=run,
+                     reference=reference, unit="sums",
+                     description="builtin sum vs. a Python loop")
+    monkeypatch.setattr("repro.bench.default_cases", lambda: [case])
+    return ran
+
+
+def test_bench_compare_gate(capsys, tmp_path, tiny_bench):
     import json
 
     out = str(tmp_path / "BENCH_run.json")
     assert main(["bench", "--warmup", "0", "--repeat", "1",
-                 "--only", "visibility_construct",
+                 "--only", "tiny_sum",
                  "--name", "run", "--json", out]) == 0
     capsys.readouterr()
     # comparing a run against itself passes and writes the verdict JSON
     # (wide tolerance: this asserts the compare plumbing, not the
-    # run-to-run stability of a best-of-1 sub-5ms measurement)
+    # run-to-run stability of a best-of-1 millisecond measurement)
     verdict = str(tmp_path / "comparison.json")
     assert main(["bench", "--warmup", "0", "--repeat", "1",
-                 "--only", "visibility_construct", "--name", "again",
+                 "--only", "tiny_sum", "--name", "again",
                  "--compare-to", out, "--tolerance", "0.9",
                  "--compare-json", verdict]) == 0
     captured = capsys.readouterr().out
     assert "bench compare: again vs baseline run" in captured
     with open(verdict) as handle:
-        assert json.load(handle)["cases"][0]["name"] == "visibility_construct"
+        assert json.load(handle)["cases"][0]["name"] == "tiny_sum"
     # an impossible baseline regresses -> exit 1 (the CI gate contract)
     doctored = json.load(open(out))
     doctored["cases"][0]["speedup"] *= 100.0
     rigged = str(tmp_path / "BENCH_rigged.json")
     json.dump(doctored, open(rigged, "w"))
     assert main(["bench", "--warmup", "0", "--repeat", "1",
-                 "--only", "visibility_construct",
+                 "--only", "tiny_sum",
                  "--compare-to", rigged]) == 1
     assert "REGRESS" in capsys.readouterr().out
     # ... unless a per-case tolerance grants the headroom
     assert main(["bench", "--warmup", "0", "--repeat", "1",
-                 "--only", "visibility_construct", "--compare-to", rigged,
-                 "--case-tolerance", "visibility_construct=0.999"]) == 0
-    # malformed NAME=FRACTION entries fail fast
+                 "--only", "tiny_sum", "--compare-to", rigged,
+                 "--case-tolerance", "tiny_sum=0.999"]) == 0
+    # malformed NAME=FRACTION entries fail fast, before any case runs
+    runs = len(tiny_bench)
     assert main(["bench", "--warmup", "0", "--repeat", "1",
-                 "--only", "visibility_construct", "--compare-to", out,
-                 "--case-tolerance", "visibility_construct=lots"]) == 1
+                 "--only", "tiny_sum", "--compare-to", out,
+                 "--case-tolerance", "tiny_sum=lots"]) == 1
     assert "bad --case-tolerance" in capsys.readouterr().out
+    assert len(tiny_bench) == runs
 
 
-def test_bench_compare_unreadable_baseline(capsys, tmp_path):
+def test_bench_compare_unreadable_baseline(capsys, tmp_path, tiny_bench):
     assert main(["bench", "--warmup", "0", "--repeat", "1",
-                 "--only", "visibility_construct",
+                 "--only", "tiny_sum",
                  "--compare-to", str(tmp_path / "missing.json")]) == 1
     assert "cannot read baseline" in capsys.readouterr().out
+    not_a_report = tmp_path / "list.json"
+    not_a_report.write_text("[1, 2, 3]")
+    assert main(["bench", "--only", "tiny_sum",
+                 "--compare-to", str(not_a_report)]) == 1
+    assert "not a bench report" in capsys.readouterr().out
+    assert tiny_bench == []  # the baseline is checked before any case runs
 
 
 def test_serve_parser_defaults():
     args = build_parser().parse_args(["serve", "--checkpoint", "ckpt"])
     assert args.handler is not None
     assert (args.host, args.port) == ("127.0.0.1", 8080)
-    assert args.max_batch_size == 8 and args.max_wait_ms == 5.0
+    assert (args.workers, args.max_queue, args.max_batch_size) == (1, 64, 8)
     assert args.no_cache is False and args.cache_size == 256
     assert args.finetune_epochs == 0
 

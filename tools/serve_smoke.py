@@ -19,7 +19,7 @@ from repro.core.pretrain import load_checkpoint
 from repro.data.preprocessing import filter_relational, partition_corpus
 from repro.data.synthesis import SynthesisConfig, build_corpus
 from repro.kb.generator import WorldConfig, generate_world
-from repro.serve import Client, build_serving_bundle
+from repro.serve import Client, PredictorFleet, build_serving_bundle
 
 TASKS = ("entity_linking", "column_type", "relation_extraction",
          "row_population", "cell_filling", "schema_augmentation")
@@ -43,7 +43,7 @@ def main(argv=None) -> int:
                                   seed=args.seed, n_examples=1)
 
     failures = []
-    with Client(bundle.predictor) as client:
+    with Client(PredictorFleet(bundle.predictor, workers=1)) as client:
         health = client.healthz()
         if health.get("status") != "ok":
             failures.append(f"healthz not ok: {health}")

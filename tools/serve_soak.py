@@ -1,13 +1,13 @@
 #!/usr/bin/env python
-"""Soak/stress harness for the multi-worker serving fleet.
+"""Soak/stress harness for the serving fleet, at any number of lanes.
 
 Boots a :class:`PredictorFleet` behind the HTTP server against a (tiny)
 pre-trained checkpoint, then drives a seeded mixed-task workload over a
 real loopback socket from ``--concurrency`` driver threads.  Table picks
 follow a long-tail (Zipf-like) repeat distribution, so a handful of hot
 tables dominate — the regime content-routed per-worker caches are built
-for.  Every response is checked bit-for-bit against the single-worker
-template predictor's answer for that payload.
+for.  Every response is checked bit-for-bit against the template
+predictor's in-process answer for that payload.
 
 Reports p50/p99 latency, throughput, per-status-class counts, per-worker
 cache hit rates and the fleet rollup as JSON (``--json``), and enforces
@@ -35,7 +35,7 @@ from repro.data.preprocessing import filter_relational, partition_corpus
 from repro.data.synthesis import SynthesisConfig, build_corpus
 from repro.kb.generator import WorldConfig, generate_world
 from repro.obs.clock import perf_counter
-from repro.serve import Client, build_serving_fleet
+from repro.serve import Client, PredictorFleet, build_serving_bundle
 
 TASKS = ("entity_linking", "column_type", "relation_extraction",
          "row_population", "cell_filling", "schema_augmentation")
@@ -144,18 +144,17 @@ def main(argv=None) -> int:
             kb, SynthesisConfig(seed=args.seed + 1, n_tables=args.tables)))
         splits = partition_corpus(corpus, seed=args.seed)
     linearizer = Linearizer(tokenizer, entity_vocab, model.config)
-    fleet, bundle = build_serving_fleet(model, linearizer, kb, splits,
-                                        workers=args.workers,
-                                        max_queue=args.max_queue,
-                                        seed=args.seed,
-                                        n_examples=args.n_examples)
+    bundle = build_serving_bundle(model, linearizer, kb, splits,
+                                  seed=args.seed, n_examples=args.n_examples)
+    fleet = PredictorFleet(bundle.predictor, workers=args.workers,
+                           max_queue=args.max_queue)
 
     payloads, expected, schedule = build_workload(bundle, args.requests,
                                                   args.seed, args.zipf_s)
     print(f"soak: {len(schedule)} requests, {args.workers} workers, "
           f"{args.concurrency} driver threads, zipf_s={args.zipf_s}")
 
-    with Client(fleet=fleet) as client:
+    with Client(fleet) as client:
         latencies, status_counts, mismatches, wall = drive(
             client, payloads, expected, schedule, args.concurrency)
         metrics = client.metrics()
