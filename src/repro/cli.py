@@ -611,9 +611,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "lanes (memory-mapped weights when the "
                             "checkpoint allows)")
     serve.add_argument("--max-queue", type=int, default=64,
-                       help="per-lane bound on queued instances before 429s")
+                       help="per-lane bound on queued instances; a request "
+                            "arriving at a full lane gets a 429")
     serve.add_argument("--max-batch-size", type=int, default=8,
-                       help="most queued instances a lane runs as one batch")
+                       help="most instances a lane coalesces into one batch "
+                            "(a larger request runs whole)")
     serve.add_argument("--no-cache", action="store_true",
                        help="disable the shared encode cache")
     serve.add_argument("--cache-size", type=int, default=256,

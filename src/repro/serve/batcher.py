@@ -8,15 +8,20 @@ process-global state, so every prediction of a lane runs on its thread —
 callers only ever touch thread-safe
 :class:`~concurrent.futures.Future` objects.
 
-A lane flushes as soon as it is free: it takes up to ``max_batch_size``
-queued items of the oldest item's task (arrival order kept, other tasks
-stay queued).  Under load, requests that arrive while a batch runs
+A lane flushes as soon as it is free: it takes the queued requests of the
+oldest request's task, in arrival order, while they fit in
+``max_batch_size`` instances (other tasks stay queued).  A request is
+never split, so one larger than ``max_batch_size`` runs as a batch of its
+own.  Under load, requests that arrive while a batch runs
 coalesce into the next one; an idle lane answers a lone request at once.
 
 The queue is bounded: a full lane raises :class:`FleetSaturated` (HTTP
 429), a paused, draining or closed lane raises :class:`FleetUnavailable`
-(HTTP 503).  Nothing the lane accepted is ever dropped — :meth:`drain`
-and :meth:`close` wait for every accepted future to resolve.
+(HTTP 503).  A multi-instance request is admitted in one step under
+:meth:`MicroBatcher.admit` — the bound is checked once, against the queue
+as it stands, so a request is accepted whole or refused whole and is never
+too large to fit.  Nothing the lane accepted is ever dropped —
+:meth:`drain` and :meth:`close` wait for every accepted future to resolve.
 
 Timing flows through :func:`repro.obs.clock.perf_counter`, the repo's one
 clock gateway (lint rule CLK001).
@@ -27,18 +32,22 @@ from __future__ import annotations
 import threading
 from collections import deque
 from concurrent.futures import Future
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from itertools import groupby
+from operator import itemgetter
+from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs import get_registry
 from repro.obs.clock import perf_counter
 from repro.obs.tracing import ContextSnapshot, capture_context
 
-#: Default bound on each lane's queued instances before submissions 429.
+#: Default bound on each lane's queued instances before admissions 429.
 DEFAULT_MAX_QUEUE = 64
 
-#: One queued request: task, instance, future, enqueue perf time, and the
-#: submitter's captured trace context (for cross-thread span attribution).
-_Item = Tuple[str, Any, "Future", float, ContextSnapshot]
+#: One queued instance: task, instance, future, enqueue perf time, the
+#: submitter's captured trace context (for cross-thread span attribution),
+#: and the sequence number of the request it belongs to.
+_Item = Tuple[str, Any, "Future", float, ContextSnapshot, int]
 
 
 class FleetError(RuntimeError):
@@ -86,7 +95,10 @@ class MicroBatcher:
         self.max_queue = max_queue
         self.name = name
         self._queue: Deque[_Item] = deque()
-        self._state = threading.Condition()
+        # Reentrant, so a thread inside admit() can submit() under it.
+        self._state = threading.Condition(threading.RLock())
+        self._admitted = False
+        self._requests = 0
         self._accepting = True
         self._closed = False
         self._inflight = 0
@@ -96,21 +108,47 @@ class MicroBatcher:
         self._thread.start()
 
     # -- intake -----------------------------------------------------------
+    def _check_intake(self) -> None:
+        if self._closed or not self._accepting:
+            raise FleetUnavailable(
+                f"{self.name} is not accepting requests (draining or "
+                "stopped)")
+        if len(self._queue) >= self.max_queue:
+            raise FleetSaturated(
+                f"{self.name} queue is full "
+                f"({self.max_queue} pending); retry later")
+
+    @contextmanager
+    def admit(self) -> Iterator["MicroBatcher"]:
+        """Admit one request in a single step; :meth:`submit` its instances
+        inside the block.
+
+        Intake and the queue bound are checked once, on entry, and the
+        lane's lock is held until exit: the request's instances queue
+        contiguously and flush as one batch, and no other submitter or the
+        lane thread interleaves.
+        """
+        with self._state:
+            self._check_intake()
+            self._requests += 1
+            self._admitted = True
+            try:
+                yield self
+            finally:
+                self._admitted = False
+
     def submit(self, task: str, instance: Any) -> "Future":
-        """Enqueue one instance; resolve its prediction via the future."""
+        """Enqueue one instance; resolve its prediction via the future.
+
+        Outside :meth:`admit`, the instance is admitted on its own."""
         future: Future = Future()
         snapshot = capture_context()
         with self._state:
-            if self._closed or not self._accepting:
-                raise FleetUnavailable(
-                    f"{self.name} is not accepting requests (draining or "
-                    "stopped)")
-            if len(self._queue) >= self.max_queue:
-                raise FleetSaturated(
-                    f"{self.name} queue is full "
-                    f"({self.max_queue} pending); retry later")
+            if not self._admitted:
+                self._check_intake()
+                self._requests += 1
             self._queue.append((task, instance, future, perf_counter(),
-                                snapshot))
+                                snapshot, self._requests))
             self._state.notify_all()
         get_registry().counter(f"serve.{self.name}.requests").inc()
         return future
@@ -176,17 +214,24 @@ class MicroBatcher:
 
     # -- the lane thread --------------------------------------------------
     def _take_batch(self) -> List[_Item]:
-        """Pop up to ``max_batch_size`` queued items of the head task,
-        preserving arrival order (other tasks stay queued)."""
+        """Pop the head task's queued requests, in arrival order, while
+        they fit in ``max_batch_size`` instances (a lone request always
+        fits).  Other tasks stay queued; requests are never split."""
         head_task = self._queue[0][0]
         batch: List[_Item] = []
         remaining: Deque[_Item] = deque()
-        while self._queue:
-            item = self._queue.popleft()
-            if item[0] == head_task and len(batch) < self.max_batch_size:
-                batch.append(item)
+        taking = True
+        for _, run in groupby(self._queue, key=itemgetter(5)):
+            request = list(run)  # admitted requests queue contiguously
+            fits = not batch or (len(batch) + len(request)
+                                 <= self.max_batch_size)
+            if taking and request[0][0] == head_task and fits:
+                batch.extend(request)
             else:
-                remaining.append(item)
+                # a head-task request that does not fit ends the batch,
+                # so no later request of the task overtakes it
+                taking = taking and request[0][0] != head_task
+                remaining.extend(request)
         self._queue = remaining
         return batch
 
@@ -228,6 +273,6 @@ class MicroBatcher:
         """Record queue-wait and batch-execution spans into every item's
         originating trace context (no-ops for untraced submitters)."""
         flush_end = perf_counter()
-        for _, _, _, enqueued, snapshot in batch:
+        for _, _, _, enqueued, snapshot, _ in batch:
             snapshot.add_span("serve/queue", enqueued, flush_start)
             snapshot.add_span("serve/predict", flush_start, flush_end)

@@ -40,6 +40,7 @@ from __future__ import annotations
 import copy
 import threading
 from concurrent.futures import Future
+from contextlib import ExitStack
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs import RunJournal, get_registry
@@ -110,7 +111,8 @@ class PredictorFleet:
     (``predict`` / ``predict_batch`` / ``predict_payloads`` /
     ``cache_stats`` / ``tasks`` / ``adapter_for``), so the HTTP layer and
     the bench harness treat one lane and many uniformly.  Every request
-    enters through :meth:`submit`, one instance at a time.
+    enters through :meth:`submit`, admitted whole or refused whole.
+    ``journal`` defaults to the template's.
     """
 
     def __init__(self, template: Predictor, workers: int = 4,
@@ -122,7 +124,7 @@ class PredictorFleet:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.template = template
-        self.journal = journal
+        self.journal = journal if journal is not None else template.journal
         self.max_queue = max_queue
         self.max_batch_size = max_batch_size
         self.cache_size = cache_size
@@ -228,18 +230,30 @@ class PredictorFleet:
         """Name of the lane owning this payload's content key."""
         return self._lane_for(task, None, payload).name
 
-    def submit(self, task: str, instance: Any,
-               payload: Optional[Dict[str, Any]] = None) -> "Future":
-        """Enqueue one decoded instance on its lane; resolve via the future.
+    def submit(self, task: str, instances: Sequence[Any],
+               payloads: Optional[Sequence[Dict[str, Any]]] = None
+               ) -> List["Future"]:
+        """Enqueue one request's decoded instances; one future each.
 
-        ``payload`` is the instance's JSON form, the source of the routing
-        key; when omitted it is encoded from the instance, and only when
-        there is more than one lane to choose from.  Typed rejections
-        count under ``serve.fleet.rejected.<saturated|unavailable>``.
+        The request is admitted in one step on every lane it touches
+        (:meth:`MicroBatcher.admit`, lanes taken in name order), so it is
+        accepted whole or refused whole, and each lane's share queues
+        contiguously.  ``payloads`` are the instances' JSON forms, the
+        source of the routing keys; when omitted they are encoded from the
+        instances, and only when there is more than one lane to choose
+        from.  Typed rejections count under
+        ``serve.fleet.rejected.<saturated|unavailable>``.
         """
+        if payloads is None:
+            payloads = [None] * len(instances)
         try:
-            return self._lane_for(task, instance, payload).submit(task,
-                                                                  instance)
+            lanes = [self._lane_for(task, instance, payload)
+                     for instance, payload in zip(instances, payloads)]
+            with ExitStack() as admitted:
+                for lane in sorted(set(lanes), key=lambda lane: lane.name):
+                    admitted.enter_context(lane.admit())
+                return [lane.submit(task, instance)
+                        for lane, instance in zip(lanes, instances)]
         except FleetError as error:
             get_registry().counter(
                 f"serve.fleet.rejected.{error.reason}").inc()
@@ -251,24 +265,21 @@ class PredictorFleet:
                          ) -> List[Dict[str, Any]]:
         """JSON payloads in, JSON predictions out — content-routed.
 
-        Payloads decode on the calling thread; each instance then goes
+        Payloads decode on the calling thread, then the request goes
         through :meth:`submit`, so lanes only ever run the model.
         """
         adapter = self.template.adapter_for(task)
         if self._draining:  # the typed 503 wins over decoding errors
             raise FleetUnavailable("the fleet is draining or stopped")
         instances = [adapter.decode_instance(payload) for payload in payloads]
-        futures = [self.submit(task, instance, payload)
-                   for instance, payload in zip(instances, payloads)]
         return [adapter.encode_prediction(future.result())
-                for future in futures]
+                for future in self.submit(task, instances, payloads)]
 
     def predict_batch(self, task: str,
                       instances: Sequence[Any]) -> List[Prediction]:
         """Instance-level twin of :meth:`Predictor.predict_batch`."""
         self.template.adapter_for(task)  # unknown task -> KeyError up front
-        futures = [self.submit(task, instance) for instance in instances]
-        return [future.result() for future in futures]
+        return [future.result() for future in self.submit(task, instances)]
 
     def predict(self, task: str, instance: Any) -> Prediction:
         return self.predict_batch(task, [instance])[0]

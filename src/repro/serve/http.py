@@ -21,9 +21,9 @@ trace id), and 500 bodies echo the trace id for correlation.
 
 Requests are handled on :class:`ThreadingHTTPServer` threads.  The
 handler decodes payloads on its own thread (malformed input is a 400),
-then submits each instance to its content-routed lane with
-:meth:`PredictorFleet.submit`; lanes coalesce queued instances into task
-batches and are the only threads that run the model, so concurrent
+then submits the request to its content-routed lanes with
+:meth:`PredictorFleet.submit`, which admits it whole or refuses it whole;
+lanes coalesce queued instances into task batches and are the only threads that run the model, so concurrent
 clients get deterministic, data-race-free answers.  Typed backpressure
 surfaces as 429 (lane saturated, with ``Retry-After``) or 503 (fleet
 draining/stopped).  ``PredictorFleet(template, workers=1)`` is the
@@ -206,9 +206,7 @@ def _build_handler(fleet: PredictorFleet):
                 return 400, 0
             try:
                 with trace("serve/wait"):
-                    futures = [fleet.submit(task, instance, payload)
-                               for instance, payload
-                               in zip(instances, payloads)]
+                    futures = fleet.submit(task, instances, payloads)
                     predictions = [future.result() for future in futures]
             except FleetError as error:
                 headers = ({"Retry-After": "1"}

@@ -19,6 +19,22 @@ class _EchoPredictor:
                 for instance in instances]
 
 
+class _GatedEchoPredictor(_EchoPredictor):
+    """Records each batch; blocks inside it until ``release`` is set."""
+
+    def __init__(self):
+        self.batches = []
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.release.set()
+
+    def predict_batch(self, task, instances):
+        self.entered.set()
+        self.release.wait(timeout=10)
+        self.batches.append(list(instances))
+        return super().predict_batch(task, instances)
+
+
 def test_single_request_yields_one_connected_trace():
     predictor = _EchoPredictor()
     with MicroBatcher(predictor, max_batch_size=4) as batcher:
@@ -37,7 +53,10 @@ def test_single_request_yields_one_connected_trace():
 
 
 def test_batched_requests_each_get_their_own_spans():
-    predictor = _EchoPredictor()
+    """Hold the lane busy on one item, release 4 traced requests behind it:
+    they run as one batch of 4, and each trace gets exactly its own
+    ``serve/queue`` and ``serve/predict`` spans."""
+    predictor = _GatedEchoPredictor()
     contexts = {}
     barrier = threading.Barrier(4)
 
@@ -49,17 +68,34 @@ def test_batched_requests_each_get_their_own_spans():
         contexts[i] = context
 
     with MicroBatcher(predictor, max_batch_size=4) as batcher:
+        predictor.release.clear()
+        held = batcher.submit("entity_linking", "held")
+        assert predictor.entered.wait(timeout=10)
         threads = [threading.Thread(target=request, args=(i,))
                    for i in range(4)]
         for thread in threads:
             thread.start()
+        pause = threading.Event()
+        for _ in range(500):  # all 4 queued behind the held item
+            if batcher.queue_depth == 5:
+                break
+            pause.wait(0.01)
+        assert batcher.queue_depth == 5
+        predictor.release.set()
         for thread in threads:
             thread.join()
+        held.result(timeout=10)
+    assert [sorted(batch) for batch in predictor.batches[1:]] == [
+        [0, 1, 2, 3]]
     assert len(contexts) == 4
     for i, context in contexts.items():
         names = sorted(span.name for span in context.spans)
         assert names == ["serve/predict", "serve/queue", "serve/wait"], (
             f"request {i} got foreign or missing spans: {names}")
+        wait_index = [span.name for span in context.spans].index(
+            "serve/wait")
+        assert all(span.parent == wait_index for span in context.spans
+                   if span.name != "serve/wait")
 
 
 def test_threaded_stress_never_interleaves_span_stacks():

@@ -140,6 +140,38 @@ def test_full_queue_raises_typed_429_and_keeps_accepted_work():
     assert lane.served == 3
 
 
+def test_admit_checks_the_bound_once_per_request():
+    stub = StubPredictor()
+    with MicroBatcher(stub, max_queue=2) as lane:
+        first = _hold_busy(stub, lane)
+        with lane.admit():  # one request of 5, past the bound of 2
+            futures = [lane.submit("t", i) for i in range(5)]
+        with pytest.raises(FleetSaturated):
+            with lane.admit():
+                lane.submit("t", "refused")
+        assert lane.queue_depth == 6
+        stub.release.set()
+        assert [f.result(timeout=10) for f in [first] + futures] == \
+            ["t:first"] + [f"t:{i}" for i in range(5)]
+    # the admitted request queued contiguously and flushed as one batch
+    assert stub.batches == [("t", ["first"]), ("t", [0, 1, 2, 3, 4])]
+
+
+def test_a_request_is_never_split_or_overtaken():
+    stub = StubPredictor()
+    with MicroBatcher(stub, max_batch_size=3) as lane:
+        _hold_busy(stub, lane)
+        lane.submit("t", 0)
+        with lane.admit():  # 4 instances: larger than max_batch_size
+            request = [lane.submit("t", i) for i in range(1, 5)]
+        lane.submit("t", 5)
+        stub.release.set()
+        assert [f.result(timeout=10) for f in request] == \
+            [f"t:{i}" for i in range(1, 5)]
+    # the request did not fit behind 0, so 5 waited behind it
+    assert stub.batches[1:] == [("t", [0]), ("t", [1, 2, 3, 4]), ("t", [5])]
+
+
 def test_drain_parks_intake_and_resume_reopens_it():
     stub = StubPredictor()
     with MicroBatcher(stub) as lane:

@@ -184,6 +184,64 @@ def test_saturated_queue_raises_typed_429(bundle):
         assert results == [expected] * 3
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_request_larger_than_the_queue_bound_is_admitted(bundle,
+                                                         mixed_payloads,
+                                                         workers):
+    """The bound is checked once per request, not once per instance."""
+    payloads, expected = mixed_payloads
+    task = "schema_augmentation"
+    request = payloads[task] * 3  # 12 instances against a bound of 2
+    with PredictorFleet(bundle.predictor, workers=workers,
+                        max_queue=2) as fleet:
+        assert fleet.predict_payloads(task, request) == expected[task] * 3
+        assert len(fleet.predict_batch(task, bundle.examples[task] * 3)) == 12
+
+
+def _gate(lane):
+    """Park ``lane`` inside its next batch until the returned event is set."""
+    gate, entered = threading.Event(), threading.Event()
+    original = lane.predictor.predict_batch
+
+    def gated(task, instances):
+        entered.set()
+        gate.wait(timeout=10)
+        return original(task, instances)
+
+    lane.predictor.predict_batch = gated
+    return gate, entered
+
+
+def test_refused_request_queues_nothing_on_any_lane(bundle, mixed_payloads):
+    """Admission is all or nothing across the lanes a request touches."""
+    payloads, expected = mixed_payloads
+    with PredictorFleet(bundle.predictor, workers=2, max_queue=1) as fleet:
+        task, request = next(
+            (task, task_payloads) for task, task_payloads
+            in sorted(payloads.items())
+            if len({fleet.route(task, p) for p in task_payloads}) == 2)
+        full_name = fleet.route(task, request[0])
+        full = fleet._workers[full_name]
+        [other] = [fleet._workers[name] for name in fleet.worker_names
+                   if name != full_name]
+        gate, entered = _gate(full)
+        try:
+            [held] = fleet.submit(task, [bundle.examples[task][0]],
+                                  [request[0]])
+            assert entered.wait(timeout=10)
+            [queued] = fleet.submit(task, [bundle.examples[task][0]],
+                                    [request[0]])
+            assert full.queue_depth == 2  # 1 in flight + 1 queued: full
+            with pytest.raises(FleetSaturated):
+                fleet.predict_payloads(task, request)
+            assert full.queue_depth == 2 and other.queue_depth == 0
+            assert other.served == 0
+        finally:
+            gate.set()
+        assert held.result(timeout=10) and queued.result(timeout=10)
+        assert fleet.predict_payloads(task, request) == expected[task]
+
+
 def test_draining_fleet_raises_typed_503(fleet, mixed_payloads):
     payloads, expected = mixed_payloads
     task = sorted(payloads)[0]
@@ -207,7 +265,8 @@ def test_drain_completes_all_accepted_futures(bundle, mixed_payloads):
         for _ in range(4):
             for index, payload in enumerate(payloads[task]):
                 instance = adapter.decode_instance(payload)
-                futures.append((index, fleet.submit(task, instance, payload)))
+                [future] = fleet.submit(task, [instance], [payload])
+                futures.append((index, future))
         assert fleet.drain(timeout=30)
         for index, future in futures:
             assert future.done()
@@ -278,6 +337,16 @@ def test_lanes_write_to_the_fleet_journal(bundle, mixed_payloads, tmp_path):
               if event["event"] == "serve_request"]
     assert sum(event["instances"] for event in served) == len(payloads[task])
     assert {event["task"] for event in served} == {task}
+
+
+def test_fleet_journal_defaults_to_the_template_journal(bundle, tmp_path):
+    journal = RunJournal(str(tmp_path / "template.jsonl"))
+    template = clone_predictor(bundle.predictor, "template", journal=journal)
+    with PredictorFleet(template, workers=2) as fleet:
+        assert fleet.journal is journal
+        assert all(lane.predictor.journal is journal
+                   for lane in fleet._workers.values())
+    journal.close()
 
 
 def test_cache_stats_aggregate_is_traffic_weighted(fleet, mixed_payloads):

@@ -193,6 +193,21 @@ def test_backpressure_statuses(bundle, workers):
         assert client.predict("schema_augmentation", payload)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_request_larger_than_the_queue_bound_is_200(bundle, workers):
+    task = "column_type"
+    adapter = bundle.predictor.adapter_for(task)
+    instances = bundle.examples[task] * 2  # 8 instances, bound 1
+    expected = adapter.predict_batch(instances)
+    fleet = PredictorFleet(bundle.predictor, workers=workers, max_queue=1)
+    with Client(fleet) as client:
+        status, body = client.post(task, {"instances": [
+            adapter.encode_instance(instance) for instance in instances]})
+    assert status == 200
+    assert [p["output"] for p in body["predictions"]] == \
+        [p.output for p in expected]
+
+
 def test_keep_alive_requests_do_not_stall(client):
     """Headers and body leave in two writes; with Nagle on, every response
     on a reused connection waits out the client's delayed ACK (~40 ms)."""
