@@ -507,7 +507,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print()
     print(format_profile_tree(profiler))
     print()
-    print(format_layer_table(profiler, limit=args.top))
+    print(format_layer_table(profiler, stats.wall_seconds, limit=args.top))
     return 0
 
 

@@ -228,7 +228,8 @@ class ShardedDataset:
     The index and the payload shards are bound as read-only ``np.memmap``
     arrays; :meth:`table` decodes one record's JSON slice on demand.  Shard
     read/decode traffic is observable as ``corpus.shard.records`` /
-    ``corpus.shard.bytes`` counters and the ``corpus.shard.decode`` timer.
+    ``corpus.shard.bytes`` counters and the ``corpus.shard.decode``
+    histogram of ``corpus/shard/decode`` span seconds.
 
     ``verify_hashes=True`` checks every decoded payload against its indexed
     blake2b tag (:class:`ShardIntegrityError` on mismatch).
@@ -315,9 +316,10 @@ class ShardedDataset:
                 raise ShardIntegrityError(
                     f"record {index}: payload hash mismatch "
                     f"(index {expected:#018x})")
-        with trace("corpus/shard/decode"), \
-                get_registry().timer("corpus.shard.decode").time():
-            return Table.from_json(blob.decode("utf-8"))
+        with trace("corpus/shard/decode") as span:
+            table = Table.from_json(blob.decode("utf-8"))
+        get_registry().histogram("corpus.shard.decode").observe(span.seconds)
+        return table
 
     # -- per-record metadata (no decode) ------------------------------------
     def shard_of(self, index: int) -> int:

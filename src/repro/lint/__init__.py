@@ -9,7 +9,7 @@ Rule      Invariant
 ========  ==================================================================
 RNG001    no global ``np.random.*`` / stdlib ``random`` — RNG flows in as a
           ``numpy.random.Generator``
-CLK001    wall-clock reads live only in ``repro.obs``
+CLK001    wall-clock reads live only in ``repro.obs.clock``
 TEN001    no raw ``Tensor.data`` subscripting / assignment outside
           ``repro.nn`` (and ``repro.train.checkpoint``)
 EVL001    public ``predict`` / ``evaluate*`` / ``rank*`` on module-like

@@ -44,8 +44,8 @@ DEPRECATED_SHIM_CALLS = {"evaluate_map", "evaluate_precision_at"}
 #: Module-level helpers whose first string argument names a span (OBS002).
 OBS_NAME_FUNCTIONS = {"trace", "start_trace"}
 #: Method names whose first string argument names a span/metric (OBS002):
-#: ``tracer.span`` and the four registry instrument factories.
-OBS_NAME_METHODS = {"span", "counter", "gauge", "histogram", "timer"}
+#: ``tracer.span`` and the three registry instrument factories.
+OBS_NAME_METHODS = {"span", "counter", "gauge", "histogram"}
 #: Full-name convention: lowercase ``[a-z0-9_]`` segments joined by "/" or
 #: "." — the layout the tracer tree report and Prometheus exporter assume.
 OBS_NAME_PATTERN = re.compile(r"^[a-z0-9_]+(?:[./][a-z0-9_]+)*$")
@@ -62,8 +62,8 @@ def _in_repro(module: str) -> bool:
     return module == "repro" or module.startswith("repro.")
 
 
-def _outside_obs(module: str) -> bool:
-    return _in_repro(module) and not module.startswith("repro.obs")
+def _outside_clock(module: str) -> bool:
+    return _in_repro(module) and module != "repro.obs.clock"
 
 
 def _outside_nn(module: str) -> bool:
@@ -96,10 +96,10 @@ RULES: Dict[str, Rule] = {rule.id: rule for rule in [
          "instead of the process-global RNG",
          _in_repro),
     Rule("CLK001", "wall-clock",
-         "wall-clock read outside repro.obs",
-         "route timing through repro.obs (perf_counter / wall_time) so "
-         "seeded compute stays clock-free",
-         _outside_obs),
+         "wall-clock read outside repro.obs.clock",
+         "time regions with repro.obs.trace (or read repro.obs.clock "
+         "perf_counter / wall_time) so seeded compute stays clock-free",
+         _outside_clock),
     Rule("TEN001", "raw-tensor-data",
          "raw Tensor.data subscript/assignment outside repro.nn",
          "use autograd ops (take_rows, __getitem__, detach()) or read via "
@@ -221,7 +221,7 @@ class _RuleVisitor(ast.NodeVisitor):
             self._check_rng(node, dotted)
             if dotted in CLOCK_CALLS:
                 self._flag("CLK001", node,
-                           f"wall-clock read `{dotted}()` outside repro.obs")
+                           f"wall-clock read `{dotted}()` outside repro.obs.clock")
         if (isinstance(node.func, ast.Attribute) and node.func.attr == "eval"
                 and not node.args and not node.keywords):
             target = _dotted(node.func, self.aliases) or ".eval"

@@ -2,15 +2,18 @@
 
 A dependency-free measurement layer for the training / inference stack:
 
-- :mod:`repro.obs.metrics` — ``Counter`` / ``Gauge`` / ``Histogram`` /
-  ``Timer`` instruments behind a process-global registry (a no-op
-  ``NullRegistry`` by default, so instrumented code is free when
-  observability is off);
-- :mod:`repro.obs.tracing` — nestable ``with trace("a/b/c"):`` spans that
-  aggregate per-path totals, plus request-scoped ``TraceContext`` records
+- :mod:`repro.obs.tracing` — ``with trace("a/b/c") as span:``, the one
+  timing primitive: the span measures its region (``span.seconds``, on or
+  off) and records that interval into per-path aggregate totals and
+  request-scoped ``TraceContext`` records
   (trace id + parent-linked spans with start/end offsets) carried in a
   ``contextvars.ContextVar`` and handed across threads with
   ``capture_context`` / ``adopt_context``;
+- :mod:`repro.obs.metrics` — ``Counter`` / ``Gauge`` / ``Histogram``
+  instruments behind a process-global registry (a no-op ``NullRegistry``
+  by default, so instrumented code is free when observability is off).
+  Spans measure; histograms record:
+  ``registry.histogram(name).observe(span.seconds)``;
 - :mod:`repro.obs.profiler` — opt-in per-layer forward/backward time and
   peak-memory attribution over any ``Module`` tree, rendered as a
   flame-style tree or per-layer table;
@@ -20,9 +23,9 @@ A dependency-free measurement layer for the training / inference stack:
   probe + trace + request events) replayable for convergence plots and
   ``repro.cli report``.
 
-Everything here reads only the monotonic / wall clock — never a random
-number generator — so seeded results are bit-identical with
-instrumentation on or off.
+Every clock read goes through :mod:`repro.obs.clock` (lint rule CLK001),
+and nothing here touches a random number generator, so seeded results are
+bit-identical with instrumentation on or off.
 
 Usage::
 
@@ -31,8 +34,9 @@ Usage::
     registry = obs.enable_metrics()
     tracer = obs.enable_tracing()
     with obs.start_trace("serve/entity_linking") as ctx:
-        with obs.trace("serve/predict"):
+        with obs.trace("serve/predict") as span:
             ...
+        registry.histogram("serve.latency").observe(span.seconds)
     print(obs.format_prometheus(registry))
     print(tracer.report())
 """
@@ -57,7 +61,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     NullRegistry,
-    Timer,
     disable_metrics,
     enable_metrics,
     format_metrics,
@@ -96,7 +99,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Timer",
     "MetricsRegistry",
     "NullRegistry",
     "get_registry",

@@ -1,9 +1,11 @@
 """The repo's single gateway to the system clocks.
 
 Lint rule CLK001 forbids ``time.time()`` / ``time.perf_counter()`` /
-``datetime.now()`` everywhere outside ``repro.obs``: seeded compute must be
+``datetime.now()`` everywhere outside this module: seeded compute must be
 clock-free so results are reproducible, and all timing flows through these
-two functions so instrumentation has one choke point.
+two functions so instrumentation has one choke point.  Program code times
+a region with a :func:`repro.obs.trace` span rather than a pair of
+:func:`perf_counter` reads.
 """
 
 from __future__ import annotations

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, IO, List, Optional, Sequence
+
+from repro.obs.clock import wall_time
+from repro.obs.metrics import percentile
 
 EVENT_HEADER = "header"
 EVENT_STEP = "step"
@@ -46,7 +48,7 @@ class RunJournal:
     # -- writers -----------------------------------------------------------
     def event(self, kind: str, **fields: Any) -> Dict[str, Any]:
         """Append one event; returns the record that was written."""
-        record: Dict[str, Any] = {"event": kind, "time": time.time()}
+        record: Dict[str, Any] = {"event": kind, "time": wall_time()}
         record.update(fields)
         line = json.dumps(record) + "\n"
         with self._lock:
@@ -131,19 +133,6 @@ class JournalSummary:
     header: Optional[Dict[str, Any]] = None
 
 
-def _percentile(values: Sequence[float], p: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (p / 100.0) * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    fraction = rank - low
-    return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
-
-
 def summarize_journal(events: Sequence[Dict[str, Any]]) -> JournalSummary:
     """Reduce journal events to the summary behind ``repro.cli report``."""
     summary = JournalSummary()
@@ -175,8 +164,8 @@ def summarize_journal(events: Sequence[Dict[str, Any]]) -> JournalSummary:
                 summary.phases[phase] = PhaseTiming(
                     count=len(samples),
                     total_seconds=sum(samples),
-                    p50_seconds=_percentile(samples, 50),
-                    p95_seconds=_percentile(samples, 95),
+                    p50_seconds=percentile(samples, 50),
+                    p95_seconds=percentile(samples, 95),
                 )
 
     summary.probe_steps = [int(e.get("step", 0)) for e in probes]

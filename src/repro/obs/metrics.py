@@ -1,7 +1,7 @@
 """Metric primitives and the process-global registry.
 
-Four instrument kinds — :class:`Counter`, :class:`Gauge`,
-:class:`Histogram` and :class:`Timer` — are created on demand through a
+Three instrument kinds — :class:`Counter`, :class:`Gauge` and
+:class:`Histogram` — are created on demand through a
 :class:`MetricsRegistry`.  The module-level default registry is a
 :class:`NullRegistry` whose instruments are shared no-op singletons, so
 instrumented code pays one dictionary-free method call when observability
@@ -9,14 +9,33 @@ is off.  Call :func:`enable_metrics` to swap in a recording registry and
 :func:`format_metrics` to render it in the plain-text table style of
 ``repro.evaluation.reporting``.
 
+Instruments record values; they never read a clock.  A duration is
+measured by a :func:`repro.obs.trace` span and recorded with
+``histogram(name).observe(span.seconds)``.  :func:`percentile` is the one
+percentile reduction, shared by :class:`Histogram` and the journal summary.
+
 None of the instruments touch any random-number generator: enabling or
 disabling metrics never changes seeded results.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Union
+
+
+def percentile(samples: Sequence[float], p: float) -> float:
+    """Linear-interpolated percentile of ``samples``, ``p`` in [0, 100]
+    (0.0 for no samples)."""
+    if not samples:
+        return 0.0
+    ordered = sorted(samples)
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (p / 100.0) * (len(ordered) - 1)
+    low = int(rank)
+    high = min(low + 1, len(ordered) - 1)
+    fraction = rank - low
+    return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
 
 
 class Counter:
@@ -85,16 +104,7 @@ class Histogram:
 
     def percentile(self, p: float) -> float:
         """Linear-interpolated percentile, ``p`` in [0, 100]."""
-        if not self.samples:
-            return 0.0
-        ordered = sorted(self.samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (p / 100.0) * (len(ordered) - 1)
-        low = int(rank)
-        high = min(low + 1, len(ordered) - 1)
-        fraction = rank - low
-        return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
+        return percentile(self.samples, p)
 
     def summary(self) -> Dict[str, float]:
         return {
@@ -110,48 +120,6 @@ class Histogram:
 
     def reset(self) -> None:
         self.samples.clear()
-
-
-class _TimerSpan:
-    """Context manager recording one monotonic-clock duration."""
-
-    __slots__ = ("_timer", "_start")
-
-    def __init__(self, timer: "Timer"):
-        self._timer = timer
-        self._start = 0.0
-
-    def __enter__(self) -> "_TimerSpan":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self._timer.observe(time.perf_counter() - self._start)
-        return False
-
-
-class Timer(Histogram):
-    """A histogram of durations with a ``with timer.time():`` span helper."""
-
-    __slots__ = ()
-
-    def time(self) -> _TimerSpan:
-        return _TimerSpan(self)
-
-
-class _NullContext:
-    """Reusable do-nothing context manager (the disabled-path span)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-NULL_CONTEXT = _NullContext()
 
 
 class _NullCounter(Counter):
@@ -175,17 +143,7 @@ class _NullHistogram(Histogram):
         pass
 
 
-class _NullTimer(Timer):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def time(self) -> _NullContext:  # type: ignore[override]
-        return NULL_CONTEXT
-
-
-Instrument = Union[Counter, Gauge, Histogram, Timer]
+Instrument = Union[Counter, Gauge, Histogram]
 
 
 class MetricsRegistry:
@@ -212,9 +170,6 @@ class MetricsRegistry:
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
 
-    def timer(self, name: str) -> Timer:
-        return self._get(name, Timer)
-
     def names(self) -> List[str]:
         return sorted(self._instruments)
 
@@ -240,7 +195,6 @@ class MetricsRegistry:
 _NULL_COUNTER = _NullCounter("null")
 _NULL_GAUGE = _NullGauge("null")
 _NULL_HISTOGRAM = _NullHistogram("null")
-_NULL_TIMER = _NullTimer("null")
 
 
 class NullRegistry(MetricsRegistry):
@@ -256,10 +210,6 @@ class NullRegistry(MetricsRegistry):
 
     def histogram(self, name: str) -> Histogram:
         return _NULL_HISTOGRAM
-
-    def timer(self, name: str) -> Timer:
-        return _NULL_TIMER
-
 
 _registry: MetricsRegistry = NullRegistry()
 

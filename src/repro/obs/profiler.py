@@ -20,8 +20,9 @@ profiling on or off.
 
 Rendering: :func:`format_profile_tree` prints a flame-style indented tree
 in model definition order; :func:`format_layer_table` prints a flat table
-sorted by cumulative forward time.  ``repro.cli profile`` drives both over
-a small pre-training run.
+sorted by cumulative forward time, as shares of the run's measured wall
+time with an ``unattributed`` remainder row.  ``repro.cli profile`` drives
+both over a small pre-training run.
 """
 
 from __future__ import annotations
@@ -214,10 +215,27 @@ class LayerProfiler:
         return [path for path in self._order
                 if stats[path].calls or stats[path].backward_ops]
 
+    def top_paths(self) -> List[str]:
+        """Top-most paths that ran: no instrumented ancestor ran.
+
+        A model driven through a method that bypasses ``Module.__call__``
+        (``TURLModel.encode``) never enters its root path, so its top-most
+        rows are children such as ``model/encoder``.
+        """
+        stats = self.stats()
+        ran = {path for path in self._order if stats[path].calls}
+        return [path for path in self._order if path in ran
+                and not any(path.startswith(other + "/") for other in ran)]
+
     def total_forward_seconds(self) -> float:
-        """Root-level cumulative forward seconds (depth-0 paths)."""
-        return sum(s.forward_seconds for s in self.stats().values()
-                   if s.depth == 0)
+        """Cumulative forward seconds of the top-most paths that ran."""
+        stats = self.stats()
+        return sum(stats[path].forward_seconds for path in self.top_paths())
+
+    def total_backward_seconds(self) -> float:
+        """Backward seconds attributed to any layer (self time, so the
+        per-path values add without double counting)."""
+        return sum(s.backward_seconds for s in self.stats().values())
 
     def to_dict(self) -> Dict[str, Any]:
         stats = self.stats()
@@ -249,11 +267,17 @@ def format_profile_tree(profiler: LayerProfiler, name_width: int = 44) -> str:
     return "\n".join(lines)
 
 
-def format_layer_table(profiler: LayerProfiler, name_width: int = 44,
-                       limit: int = 0) -> str:
-    """Flat per-layer table sorted by cumulative forward seconds."""
+def format_layer_table(profiler: LayerProfiler, wall_seconds: float,
+                       name_width: int = 44, limit: int = 0) -> str:
+    """Flat per-layer table sorted by cumulative forward seconds.
+
+    ``Fwd %`` is each layer's share of ``wall_seconds``, the measured wall
+    time of the profiled run.  A closing ``unattributed`` row holds the
+    wall time outside every top-level forward and attributed backward
+    (collate, masking, loss, optimizer, ...), so the top-level rows'
+    ``Fwd %``, the backward share and ``unattributed`` add up to 100.
+    """
     stats = profiler.stats()
-    total = profiler.total_forward_seconds() or 1.0
     header = (f"{'Layer':{name_width}s}{'Calls':>7s}{'Fwd s':>10s}"
               f"{'Fwd %':>8s}{'Bwd s':>10s}{'Ops':>7s}")
     if profiler.memory:
@@ -265,11 +289,15 @@ def format_layer_table(profiler: LayerProfiler, name_width: int = 44,
         ordered = ordered[:limit]
     for s in ordered:
         row = (f"{s.path:{name_width}s}{s.calls:7d}{s.forward_seconds:10.4f}"
-               f"{100.0 * s.forward_seconds / total:8.1f}"
+               f"{100.0 * s.forward_seconds / wall_seconds:8.1f}"
                f"{s.backward_seconds:10.4f}{s.backward_ops:7d}")
         if profiler.memory:
             row += _mb(s.peak_bytes)
         lines.append(row)
+    unattributed = (wall_seconds - profiler.total_forward_seconds()
+                    - profiler.total_backward_seconds())
+    lines.append(f"{'unattributed':{name_width}s}{'':7s}{unattributed:10.4f}"
+                 f"{100.0 * unattributed / wall_seconds:8.1f}")
     return "\n".join(lines)
 
 

@@ -3,7 +3,7 @@
 :func:`format_prometheus` renders every instrument in a
 :class:`~repro.obs.metrics.MetricsRegistry` in the plain-text format
 Prometheus scrapes: one ``# TYPE`` line per metric family, counters and
-gauges as single samples, histograms/timers as summaries with
+gauges as single samples, histograms as summaries with
 p50/p95/p99 ``quantile`` labels plus ``_sum`` and ``_count`` series.
 
 Metric names here use dots and slashes (``serve.latency.entity_linking``);
@@ -55,7 +55,7 @@ def format_prometheus(registry: Optional[MetricsRegistry] = None) -> str:
             continue
         metric = sanitize_name(name)
         lines.append(f"# HELP {metric} {name}")
-        if isinstance(instrument, Histogram):  # Timer subclasses Histogram
+        if isinstance(instrument, Histogram):
             lines.append(f"# TYPE {metric} summary")
             for quantile, p in _QUANTILES:
                 lines.append(f'{metric}{{quantile="{quantile}"}} '

@@ -1,9 +1,13 @@
 """Hierarchical tracing spans and request-scoped trace contexts.
 
-Two cooperating layers:
+:func:`trace` is the one way program code times a region: ``with
+trace("pretrain/step/forward") as span:`` reads the monotonic clock once
+on enter and once on exit and exposes the difference as ``span.seconds``,
+whether tracing is on or off.  Code that keeps the number hands it to its
+own sink (a metrics histogram, a journal field).  The same interval feeds
+two cooperating layers:
 
-**Aggregate spans** — ``with trace("pretrain/step/forward"):`` times a
-region on the monotonic clock.  Spans nest: a span opened inside another
+**Aggregate spans** — spans nest: a span opened inside another
 becomes its child, and the :class:`Tracer` aggregates ``(count, total
 seconds)`` per *path* — the tuple of labels on the span stack — so the
 same label under different parents is kept distinct.  The span stack lives
@@ -20,8 +24,8 @@ When work hops threads, :func:`capture_context` on the submitting side and
 originating trace.  Completed traces stream to a journal as one
 ``EVENT_TRACE`` record.
 
-Tracing is off by default: :func:`trace` then returns a shared no-op
-context manager — two context-variable reads, no allocation.  Like the
+Tracing is off by default: a span then only measures — one small
+allocation, one context-variable read and two clock reads.  Like the
 metrics registry, tracing never touches any random-number generator, so
 seeded results are bit-identical with tracing on or off.
 """
@@ -36,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.clock import perf_counter, wall_time
-from repro.obs.metrics import NULL_CONTEXT
 
 #: Spans kept per trace context before further spans are counted but
 #: dropped — a guard against unbounded growth when a whole training run
@@ -99,19 +102,22 @@ class TraceContext:
             perf_time = perf_counter()
         return perf_time - self._perf_base
 
-    def open_span(self, name: str, parent: int = -1) -> int:
-        """Start a span now; returns its index (-1 when over the cap)."""
+    def open_span(self, name: str, parent: int = -1,
+                  start_perf: Optional[float] = None) -> int:
+        """Start a span at ``start_perf`` (default now); returns its index
+        (-1 when over the cap)."""
         with self._lock:
             if len(self.spans) >= TRACE_SPAN_CAP:
                 self.dropped_spans += 1
                 return -1
-            self.spans.append(SpanRecord(name, parent, self.offset()))
+            self.spans.append(SpanRecord(name, parent, self.offset(start_perf)))
             return len(self.spans) - 1
 
-    def close_span(self, index: int) -> None:
+    def close_span(self, index: int, end_perf: Optional[float] = None) -> None:
+        """End span ``index`` at ``end_perf`` (default now)."""
         if index < 0:
             return
-        self.spans[index].end = self.offset()
+        self.spans[index].end = self.offset(end_perf)
 
     def add_span(self, name: str, start_perf: float, end_perf: float,
                  parent: int = -1) -> int:
@@ -284,39 +290,46 @@ class SpanStats:
 
 
 class _Span:
-    """Context manager pushing one label onto the context-local stack."""
+    """The measured region :func:`trace` returns: one clock read on enter,
+    one on exit, and that one interval goes to ``seconds``, the tracer's
+    aggregate and the active trace context."""
 
     __slots__ = ("_tracer", "_label", "_start", "_path_token", "_span_index",
-                 "_parent_token", "_context")
+                 "_parent_token", "_context", "seconds")
 
     def __init__(self, tracer: Optional["Tracer"], label: str):
         self._tracer = tracer
         self._label = label
         self._start = 0.0
+        self._path_token = None
         self._span_index = -1
         self._parent_token = None
         self._context: Optional[TraceContext] = None
+        #: the measured duration; 0.0 until the block exits
+        self.seconds = 0.0
 
     def __enter__(self) -> "_Span":
-        self._path_token = _PATH.set(_PATH.get() + (self._label,))
+        if self._tracer is not None:
+            self._path_token = _PATH.set(_PATH.get() + (self._label,))
         context = _ACTIVE.get()
+        self._start = perf_counter()
         if context is not None:
             self._context = context
-            self._span_index = context.open_span(self._label, _PARENT.get())
+            self._span_index = context.open_span(self._label, _PARENT.get(),
+                                                 self._start)
             self._parent_token = _PARENT.set(self._span_index)
-        self._start = perf_counter()
         return self
 
     def __exit__(self, *exc) -> bool:
-        elapsed = perf_counter() - self._start
+        end = perf_counter()
+        self.seconds = end - self._start
         if self._context is not None:
-            if self._parent_token is not None:
-                _PARENT.reset(self._parent_token)
-            self._context.close_span(self._span_index)
-        path = _PATH.get()
-        _PATH.reset(self._path_token)
-        if self._tracer is not None:
-            self._tracer._record(path, elapsed)
+            _PARENT.reset(self._parent_token)
+            self._context.close_span(self._span_index, end)
+        if self._path_token is not None:
+            path = _PATH.get()
+            _PATH.reset(self._path_token)
+            self._tracer._record(path, self.seconds)
         return False
 
 
@@ -412,9 +425,13 @@ def disable_tracing() -> None:
     set_tracer(None)
 
 
-def trace(label: str):
-    """Span context manager; records into the global tracer's aggregate
-    and/or the active trace context — a shared no-op when neither is on."""
-    if _tracer is None and _ACTIVE.get() is None:
-        return NULL_CONTEXT
+def trace(label: str) -> _Span:
+    """Measure a region: ``with trace("a/b") as span: ...``.
+
+    The one timing primitive.  ``span.seconds`` holds the region's duration
+    on exit; the same interval is recorded into the global tracer's
+    aggregate and/or the active trace context when either is on.  Callers
+    that keep the number pass it to their own sink, e.g.
+    ``registry.histogram(name).observe(span.seconds)``.
+    """
     return _Span(_tracer, label)

@@ -7,7 +7,8 @@ no matter which task asks), and instruments every call through
 ``repro.obs``:
 
 - ``serve.requests.<task>`` counter — instances answered per task;
-- ``serve.latency.<task>`` timer — wall seconds per predict call;
+- ``serve.latency.<task>`` histogram — wall seconds per predict call,
+  measured by a ``serve/latency/<task>`` span;
 - ``serve.encode_cache.hit_rate`` gauge — rolling cache effectiveness
   (named fleet workers report ``serve.worker<i>.cache.hit_rate`` instead);
 - optional :class:`repro.obs.RunJournal` events (``serve_request``).
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.obs import RunJournal, get_registry
+from repro.obs import RunJournal, get_registry, trace
 from repro.serve.adapters import Prediction, TaskAdapter, adapters_by_task
 from repro.serve.cache import ENCODE_CACHE_SIZE, EncodeCache
 
@@ -81,8 +82,9 @@ class Predictor:
     def predict_batch(self, task: str, instances: Sequence[Any]) -> List[Prediction]:
         adapter = self.adapter_for(task)
         registry = get_registry()
-        with registry.timer(f"serve.latency.{task}").time():
+        with trace(f"serve/latency/{task}") as span:
             predictions = adapter.predict_batch(instances)
+        registry.histogram(f"serve.latency.{task}").observe(span.seconds)
         registry.counter(f"serve.requests.{task}").inc(len(instances))
         if self.cache is not None:
             registry.gauge(self._cache_gauge).set(self.cache.hit_rate)

@@ -45,7 +45,6 @@ from repro.obs import (
     get_registry,
     trace,
 )
-from repro.obs.clock import perf_counter
 from repro.train.task import StepOutput, TrainableTask
 
 SCHEDULES = ("constant", "linear")
@@ -247,64 +246,65 @@ class Trainer:
 
         Returns ``None`` when the task skipped the item, otherwise a result
         dictionary with the loss, any task extras, per-phase timings, the
-        pre-clip gradient norm and the applied learning rate.
+        pre-clip gradient norm, the applied learning rate and the step's
+        wall ``seconds``.
         """
-        if self.spec.sanitize:
-            with sanitize_ops():
+        with trace(f"{self.task.name}/step") as step:
+            if self.spec.sanitize:
+                with sanitize_ops():
+                    result = self._run_step_inner(batch)
+                if result is not None and result.get("updated"):
+                    assert_finite_module(self.task.module,
+                                         context="after optimizer step")
+            else:
                 result = self._run_step_inner(batch)
-            if result is not None and result.get("updated"):
-                assert_finite_module(self.task.module,
-                                     context="after optimizer step")
-            return result
-        return self._run_step_inner(batch)
+        if result is not None:
+            result["seconds"] = step.seconds
+        return result
 
     def _run_step_inner(self, batch: Any) -> Optional[Dict[str, float]]:
         spec, task = self.spec, self.task
-        with trace(f"{task.name}/step"):
-            phase_start = perf_counter()
-            with trace(f"{task.name}/step/forward"):
-                output = task.loss(batch, self.rng)
-            forward_seconds = perf_counter() - phase_start
-            if output is None:
-                return None
-            if not isinstance(output, StepOutput):
-                output = StepOutput(loss=output)
-            timings = {"forward_seconds": forward_seconds,
-                       "backward_seconds": 0.0, "optimizer_seconds": 0.0}
-            if output.loss is None:
-                return {"loss": 0.0, **output.extras, **timings,
-                        "grad_norm": 0.0, "lr": 0.0, "updated": 0.0}
+        with trace(f"{task.name}/step/forward") as forward:
+            output = task.loss(batch, self.rng)
+        if output is None:
+            return None
+        if not isinstance(output, StepOutput):
+            output = StepOutput(loss=output)
+        if output.loss is None:
+            return {"loss": 0.0, **output.extras,
+                    "forward_seconds": forward.seconds,
+                    "backward_seconds": 0.0, "optimizer_seconds": 0.0,
+                    "grad_norm": 0.0, "lr": 0.0, "updated": 0.0}
 
-            optimizer = self._ensure_optimizer()
-            task.module.zero_grad()
-            phase_start = perf_counter()
-            with trace(f"{task.name}/step/backward"):
-                output.loss.backward()
-                if spec.gradient_clip is not None:
-                    grad_norm = clip_grad_norm(optimizer.parameters,
-                                               spec.gradient_clip)
-                elif self.journal is not None:
-                    grad_norm = _grad_norm(optimizer.parameters)
-                else:
-                    grad_norm = 0.0
-            timings["backward_seconds"] = perf_counter() - phase_start
-            lr = optimizer.schedule(optimizer.step_count)
-            phase_start = perf_counter()
-            with trace(f"{task.name}/step/optimizer"):
-                optimizer.step()
-            timings["optimizer_seconds"] = perf_counter() - phase_start
-            loss_value = output.loss.item()
+        optimizer = self._ensure_optimizer()
+        task.module.zero_grad()
+        with trace(f"{task.name}/step/backward") as backward:
+            output.loss.backward()
+            if spec.gradient_clip is not None:
+                grad_norm = clip_grad_norm(optimizer.parameters,
+                                           spec.gradient_clip)
+            elif self.journal is not None:
+                grad_norm = _grad_norm(optimizer.parameters)
+            else:
+                grad_norm = 0.0
+        lr = optimizer.schedule(optimizer.step_count)
+        with trace(f"{task.name}/step/optimizer") as update:
+            optimizer.step()
+        loss_value = output.loss.item()
 
-            registry = get_registry()
-            prefix = self._metric_prefix
-            registry.counter(f"{prefix}.steps").inc()
-            registry.histogram(f"{prefix}.loss").observe(loss_value)
-            registry.histogram(f"{prefix}.grad_norm").observe(grad_norm)
-            for phase, seconds in timings.items():
-                registry.timer(
-                    f"{prefix}.{phase[:-len('_seconds')]}").observe(seconds)
-            return {"loss": loss_value, **output.extras, **timings,
-                    "grad_norm": grad_norm, "lr": lr, "updated": 1.0}
+        registry = get_registry()
+        prefix = self._metric_prefix
+        registry.counter(f"{prefix}.steps").inc()
+        registry.histogram(f"{prefix}.loss").observe(loss_value)
+        registry.histogram(f"{prefix}.grad_norm").observe(grad_norm)
+        registry.histogram(f"{prefix}.forward").observe(forward.seconds)
+        registry.histogram(f"{prefix}.backward").observe(backward.seconds)
+        registry.histogram(f"{prefix}.optimizer").observe(update.seconds)
+        return {"loss": loss_value, **output.extras,
+                "forward_seconds": forward.seconds,
+                "backward_seconds": backward.seconds,
+                "optimizer_seconds": update.seconds,
+                "grad_norm": grad_norm, "lr": lr, "updated": 1.0}
 
     # -- the loop -----------------------------------------------------------
     def fit(self, epochs: Optional[int] = None,
@@ -334,18 +334,15 @@ class Trainer:
         # triggered this run) so eval hooks attribute to it even if a task's
         # eval_metric hops threads.
         self._fit_context = capture_context()
-        train_start = perf_counter()
         paused = False
-        with trace(f"{self.task.name}/train"):
+        with trace(f"{self.task.name}/train") as train:
             while self.epochs_completed < target:
                 chunks = self._ensure_epoch_chunks(items)
                 while self.chunks_consumed < len(chunks):
                     indices = chunks[self.chunks_consumed]
                     chunk = [items[int(i)] for i in indices]
                     batch = chunk[0] if spec.batch_size == 1 else chunk
-                    step_start = perf_counter()
                     result = self.run_step(batch)
-                    step_seconds = perf_counter() - step_start
                     self.chunks_consumed += 1
                     if result is None:
                         continue
@@ -356,12 +353,12 @@ class Trainer:
                     stats.grad_norms.append(result["grad_norm"])
                     for key, value in result.items():
                         if key in ("loss", "lr", "grad_norm", "updated") or \
-                                key.endswith("_seconds"):
+                                key.endswith("seconds"):
                             continue
                         stats.extras.setdefault(key, []).append(value)
                     if result["updated"]:
                         self._epoch_losses.append(result["loss"])
-                    self._journal_step(result, step_seconds)
+                    self._journal_step(result)
                     if (spec.eval_every
                             and self.step_index % spec.eval_every == 0):
                         self._run_eval(stats)
@@ -384,10 +381,10 @@ class Trainer:
                         break
                 if paused:
                     break
+        stats.wall_seconds = train.seconds
         if (spec.eval_at_end and not stats.stopped_early and not paused
                 and self.epochs_completed >= spec.epochs):
-            self._run_eval(stats)
-        stats.wall_seconds = perf_counter() - train_start
+            stats.wall_seconds += self._run_eval(stats)
         get_registry().gauge(
             f"{self._metric_prefix}.throughput").set(stats.throughput)
         return stats
@@ -443,32 +440,32 @@ class Trainer:
         return [order[start:start + spec.batch_size]
                 for start in range(0, len(items), spec.batch_size)]
 
-    def _journal_step(self, result: Dict[str, float], seconds: float) -> None:
+    def _journal_step(self, result: Dict[str, float]) -> None:
         if self.journal is None:
             return
         fields = {key: value for key, value in result.items()
                   if key != "updated"}
-        fields["seconds"] = seconds
+        seconds = fields["seconds"]
         if "tokens" in fields:
             fields["tokens_per_second"] = (fields["tokens"] / seconds
                                            if seconds > 0 else 0.0)
         self.journal.step(self.step_index, **fields)
 
-    def _run_eval(self, stats: TrainStats) -> None:
+    def _run_eval(self, stats: TrainStats) -> float:
         """One mode-restoring evaluation probe, attributed to the trace
-        context that was active when :meth:`fit` started."""
-        probe_start = perf_counter()
+        context that was active when :meth:`fit` started; returns its
+        wall seconds."""
         with adopt_context(self._fit_context):
-            with trace(f"{self.task.name}/eval"):
+            with trace(f"{self.task.name}/eval") as probe:
                 with eval_mode(self.task.module):
                     value = self.task.eval_metric()
-        if value is None:
-            return
-        stats.eval_steps.append(self.step_index)
-        stats.eval_values.append(value)
-        if self.journal is not None:
-            self.journal.probe(self.step_index, value,
-                               seconds=perf_counter() - probe_start)
+        if value is not None:
+            stats.eval_steps.append(self.step_index)
+            stats.eval_values.append(value)
+            if self.journal is not None:
+                self.journal.probe(self.step_index, value,
+                                   seconds=probe.seconds)
+        return probe.seconds
 
     def _should_stop_early(self, epoch_loss: float) -> bool:
         patience = self.spec.early_stop_patience

@@ -96,6 +96,14 @@ def test_clk001_allows_clock_inside_obs():
     assert result.ok
 
 
+def test_clk001_flags_clock_reads_elsewhere_in_obs():
+    result = _lint("""
+        import time
+        a = time.perf_counter()
+    """, path="src/repro/obs/metrics.py")
+    assert _rule_ids(result) == ["CLK001"]
+
+
 # -- TEN001 -----------------------------------------------------------------
 
 def test_ten001_flags_data_subscript_and_assignment():
@@ -386,7 +394,7 @@ def test_obs002_allows_canonical_names():
         registry = get_registry()
         registry.counter("serve.requests").inc()
         registry.gauge("serve.queue_depth").set(1.0)
-        registry.timer("serve.latency.entity_linking").time()
+        registry.histogram("serve.latency.entity_linking").observe(0.1)
         tracer.span("eval/probe_0")
     """)
     assert _rule_ids(result) == []
@@ -399,8 +407,8 @@ def test_obs002_checks_fstring_constant_fragments():
             pass
         with trace(f"Serve/{task}"):
             pass
-        registry.timer(f"serve.latency.{task}").time()
-        registry.timer(f"serve latency {task}").time()
+        registry.histogram(f"serve.latency.{task}").observe(0.1)
+        registry.histogram(f"serve latency {task}").observe(0.1)
     """)
     assert _rule_ids(result) == ["OBS002", "OBS002"]
 

@@ -88,7 +88,7 @@ def test_step_metrics_and_spans_recorded(request):
     tracer = enable_tracing()
     stats, _ = _train_losses(context, instances, n_epochs=1)
     assert registry.counter("pretrain.steps").value == stats.steps
-    assert registry.timer("pretrain.forward").count == stats.steps
+    assert registry.histogram("pretrain.forward").count == stats.steps
     totals = tracer.totals()
     assert totals["pretrain/step"].count == stats.steps
     assert totals["pretrain/step/forward"].count == stats.steps

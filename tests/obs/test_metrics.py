@@ -1,4 +1,4 @@
-"""Counter / gauge / histogram / timer math and the registry plumbing."""
+"""Counter / gauge / histogram math and the registry plumbing."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     NullRegistry,
-    Timer,
     disable_metrics,
     enable_metrics,
     format_metrics,
@@ -56,14 +55,6 @@ def test_histogram_edge_cases():
     assert histogram.percentile(95) == 7.0
 
 
-def test_timer_records_positive_durations():
-    timer = Timer("t")
-    with timer.time():
-        sum(range(1000))
-    assert timer.count == 1
-    assert timer.samples[0] >= 0.0
-
-
 def test_registry_get_or_create_and_snapshot():
     registry = MetricsRegistry()
     assert registry.counter("a") is registry.counter("a")
@@ -85,9 +76,6 @@ def test_null_registry_is_default_and_inert():
     histogram = registry.histogram("h")
     histogram.observe(5.0)
     assert histogram.count == 0
-    with registry.timer("t").time():
-        pass
-    assert registry.timer("t").count == 0
 
 
 def test_enable_disable_swaps_global_registry():

@@ -155,9 +155,48 @@ def test_reports_render(net):
     assert "Layer" in tree and "Peak MB" in tree
     assert "\n  head" in tree  # depth-1 indentation
     assert "dense" in tree  # leaf layers present
-    table = format_layer_table(profiler, limit=3)
-    assert len(table.splitlines()) == 4  # header + limit rows
-    assert "model" in table.splitlines()[1]
+    table = format_layer_table(profiler, wall_seconds=1.0, limit=3)
+    lines = table.splitlines()
+    assert len(lines) == 5  # header + limit rows + unattributed
+    assert "model" in lines[1]
+    assert lines[-1].startswith("unattributed")
     payload = profiler.to_dict()
     assert payload["memory"] is True
     assert any(layer["path"] == "model/head" for layer in payload["layers"])
+
+
+def _fwd_percent(table):
+    """``{path: Fwd %}`` parsed from a rendered layer table (no memory
+    column): layer rows end ``Fwd % | Bwd s | Ops``, the unattributed row
+    ends with its percentage."""
+    percent = {}
+    for row in table.splitlines()[1:]:
+        fields = row.split()
+        percent[fields[0]] = float(
+            fields[-1] if fields[0] == "unattributed" else fields[-3])
+    return percent
+
+
+def test_layer_table_reconciles_to_measured_wall(context):
+    from repro.core.pretrain import Pretrainer
+
+    model = context.fresh_model(seed=3)
+    instances = context.instances_for(context.splits.train)[:8]
+    pretrainer = Pretrainer(model, instances, context.candidate_builder,
+                            context.config, seed=1)
+    with profile(model) as profiler:
+        stats = pretrainer.train(n_epochs=1)
+    wall = stats.wall_seconds
+    table = format_layer_table(profiler, wall)
+    percent = _fwd_percent(table)
+    # TURLModel.encode bypasses Module.__call__: the top-most rows that ran
+    # are children of the root, and the encoder is one of them.
+    top = profiler.top_paths()
+    assert "model" not in top and "model/encoder" in top
+    encoder = profiler.stats()["model/encoder"]
+    assert percent["model/encoder"] == float(
+        f"{100.0 * encoder.forward_seconds / wall:.1f}")
+    backward = 100.0 * profiler.total_backward_seconds() / wall
+    total = (sum(percent[path] for path in top) + backward
+             + percent["unattributed"])
+    assert total == pytest.approx(100.0, abs=0.5)

@@ -1,10 +1,12 @@
-"""Span nesting, per-label aggregation and the tree report."""
+"""Span nesting, per-label aggregation, the tree report, and the span as
+the one measured interval."""
 
 from repro.obs import (
     Tracer,
     disable_tracing,
     enable_tracing,
     get_tracer,
+    start_trace,
     trace,
 )
 
@@ -75,3 +77,23 @@ def test_trace_records_on_global_tracer():
     assert tracer.totals()["pretrain/step/forward"].count == 1
     tracer.reset()
     assert tracer.paths() == {}
+
+
+def test_span_seconds_is_the_one_recorded_interval():
+    tracer = enable_tracing()
+    with start_trace("serve/demo") as context:
+        with trace("a/b") as span:
+            sum(range(1000))
+    assert span.seconds > 0.0
+    # The aggregate, the trace record and span.seconds are one interval,
+    # not separate clock reads.
+    assert tracer.paths()[("a/b",)].total_seconds == span.seconds
+    (record,) = context.spans
+    assert record.name == "a/b"
+    assert record.end - record.start == span.seconds
+
+    disable_tracing()
+    with trace("a/b") as untraced:
+        sum(range(1000))
+    assert untraced.seconds > 0.0
+    assert tracer.paths()[("a/b",)].count == 1
