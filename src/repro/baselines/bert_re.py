@@ -12,7 +12,6 @@ the contrast this baseline preserves.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
@@ -87,29 +86,14 @@ class BertStyleRelationExtractor(Module):
 
     # -- training/inference: mirrors TURLRelationExtractor ------------------
     def finetune(self, dataset: RelationDataset, epochs: int = 3,
-                 batch_size: int = 1, lr: float = 1e-3, seed: int = 0,
-                 spec=None, max_instances: Optional[int] = None,
+                 lr: float = 1e-3, seed: int = 0,
+                 max_instances: Optional[int] = None,
                  map_every: Optional[int] = None,
-                 map_instances: int = 40,
-                 learning_rate: Optional[float] = None) -> Dict[str, List[float]]:
+                 map_instances: int = 40) -> Dict[str, List[float]]:
         """Hand-rolled loop kept off the shared Trainer (no table batching
-        here); accepts the canonical keyword set — an explicit ``spec``
-        supplies ``epochs``/``lr``/``seed``/``max_instances``, and
-        ``learning_rate`` is a deprecated alias of ``lr``.  The loop steps
-        one instance at a time, so ``batch_size`` only describes collation
-        and must stay 1.
+        here): one Adam step per instance.  Returns the same history dict
+        as :meth:`TURLRelationExtractor.finetune`.
         """
-        if learning_rate is not None:
-            warnings.warn("finetune(learning_rate=...) is deprecated; "
-                          "pass lr=...", DeprecationWarning, stacklevel=2)
-            lr = learning_rate
-        if spec is not None:
-            epochs, lr, seed = spec.epochs, spec.learning_rate, spec.seed
-            max_instances = spec.max_items
-            batch_size = spec.batch_size
-        if batch_size != 1:
-            raise ValueError("BertStyleRelationExtractor.finetune steps one "
-                             "instance at a time; batch_size must be 1")
         rng = np.random.default_rng(seed)
         optimizer = Adam(self.parameters(), learning_rate=lr)
         instances = list(dataset.train)

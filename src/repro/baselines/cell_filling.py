@@ -12,7 +12,6 @@ All three rank a candidate entity by the similarity between the query header
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -58,16 +57,6 @@ class _HeaderSimilarityRanker:
                   for k, v in per_k.items()}
         return TaskMetrics(task="cell_filling", values=values,
                            primary=f"p@{min(ks)}" if ks else "")
-
-    def evaluate_precision_at(self, instances: Sequence[FillingInstance],
-                              candidate_finder: CellFillingCandidates,
-                              ks: Sequence[int] = (1, 3, 5, 10)) -> Dict[int, float]:
-        """Deprecated alias of :meth:`evaluate`; returns ``{k: P@K}``."""
-        warnings.warn("evaluate_precision_at() is deprecated; use "
-                      "evaluate(...).values['p@<k>']", DeprecationWarning,
-                      stacklevel=2)
-        metrics = self.evaluate(instances, candidate_finder, ks=ks)
-        return {k: metrics.values[f"p@{k}"] for k in ks}
 
 
 class ExactRanker(_HeaderSimilarityRanker):

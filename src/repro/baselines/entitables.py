@@ -15,7 +15,6 @@ Two components the paper compares against:
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter, defaultdict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -88,14 +87,6 @@ class EntiTablesRowPopulator:
             values={"map": mean_average_precision(rankings, truths)},
             primary="map")
 
-    def evaluate_map(self, instances: Sequence[PopulationInstance],
-                     generator: PopulationCandidateGenerator) -> float:
-        """Deprecated alias of :meth:`evaluate`; returns the bare MAP."""
-        warnings.warn("evaluate_map() is deprecated; use "
-                      "evaluate(...).values['map']", DeprecationWarning,
-                      stacklevel=2)
-        return self.evaluate(instances, generator).primary_value
-
 
 class KNNSchemaAugmenter:
     """tf-idf kNN schema augmentation (Section 6.7 baseline)."""
@@ -143,14 +134,6 @@ class KNNSchemaAugmenter:
             task="schema_augmentation",
             values={"map": mean_average_precision(rankings, truths)},
             primary="map")
-
-    def evaluate_map(self, instances: Sequence[SchemaInstance],
-                     header_vocabulary: Sequence[str]) -> float:
-        """Deprecated alias of :meth:`evaluate`; returns the bare MAP."""
-        warnings.warn("evaluate_map() is deprecated; use "
-                      "evaluate(...).values['map']", DeprecationWarning,
-                      stacklevel=2)
-        return self.evaluate(instances, header_vocabulary).primary_value
 
     def best_support_caption(self, instance: SchemaInstance) -> Optional[str]:
         """Caption of the most similar corpus table (paper Table 11)."""

@@ -10,7 +10,6 @@ candidates unranked.
 
 from __future__ import annotations
 
-import warnings
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -85,12 +84,3 @@ class Table2VecRowPopulator:
             task="row_population",
             values={"map": mean_average_precision(rankings, truths)},
             primary="map")
-
-    def evaluate_map(self, instances: Sequence[PopulationInstance],
-                     generator: PopulationCandidateGenerator) -> Optional[float]:
-        """Deprecated alias of :meth:`evaluate`; returns the bare MAP."""
-        warnings.warn("evaluate_map() is deprecated; use "
-                      "evaluate(...).values['map']", DeprecationWarning,
-                      stacklevel=2)
-        metrics = self.evaluate(instances, generator)
-        return None if metrics is None else metrics.primary_value

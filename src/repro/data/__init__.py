@@ -12,9 +12,7 @@ from repro.data.corpus import TableCorpus, CorpusSplits
 from repro.data.dataset import (
     Dataset,
     DatasetMetadata,
-    InstanceSet,
     SPLIT_NAMES,
-    coerce_training_instances,
     strategy_counter,
 )
 from repro.data.synthesis import RECIPE_NAMES, SynthesisConfig, TableSynthesizer, build_corpus
@@ -35,9 +33,7 @@ __all__ = [
     "CorpusSplits",
     "Dataset",
     "DatasetMetadata",
-    "InstanceSet",
     "SPLIT_NAMES",
-    "coerce_training_instances",
     "strategy_counter",
     "RECIPE_NAMES",
     "SynthesisConfig",

@@ -17,19 +17,17 @@ containers — speaks one small protocol:
     a :class:`DatasetMetadata` describing provenance, split sizes and the
     per-strategy difficulty mix
 
-Training entry points (``Trainer`` via the task heads' ``finetune``,
-``Pretrainer``, ``build_context``) accept any implementation.  Bare
-``list``/``tuple`` arguments still work behind a ``DeprecationWarning``
-shim (:func:`coerce_training_instances`) and are scheduled for removal two
-PRs after this one; lint rule ``API002`` keeps new list-typed corpus
-parameters out of the tree.
+Corpus entry points (``build_context``, ``pretrain_streaming``,
+``as_corpus_splits``) accept any implementation; lint rule ``API002`` keeps
+new ``List[Table]``-typed corpus parameters out of the tree.  Task
+``finetune`` facades take the instance lists their ``build_*`` helpers
+return.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Any, Dict, Iterator, Protocol, Sequence, runtime_checkable
 
 SPLIT_NAMES = ("train", "validation", "test")
 
@@ -74,48 +72,6 @@ class Dataset(Protocol):
     def metadata(self) -> DatasetMetadata: ...
 
 
-class InstanceSet:
-    """Minimal in-memory :class:`Dataset` over flat instance lists.
-
-    The migration target for call sites that used to pass bare lists into
-    ``finetune(...)``: wrap the list (optionally per split) and every entry
-    point accepts it.
-    """
-
-    def __init__(self, train: Sequence[Any] = (),
-                 validation: Sequence[Any] = (),
-                 test: Sequence[Any] = (), source: str = "memory"):
-        self._splits: Dict[str, List[Any]] = {
-            "train": list(train),
-            "validation": list(validation),
-            "test": list(test),
-        }
-        self._source = source
-
-    def __len__(self) -> int:
-        return sum(len(items) for items in self._splits.values())
-
-    def __iter__(self) -> Iterator[Any]:
-        for name in SPLIT_NAMES:
-            yield from self._splits[name]
-
-    def instances(self, split: str = "train") -> List[Any]:
-        if split not in self._splits:
-            raise KeyError(f"unknown split {split!r}; "
-                           f"expected one of {SPLIT_NAMES}")
-        return list(self._splits[split])
-
-    @property
-    def metadata(self) -> DatasetMetadata:
-        return DatasetMetadata(
-            source=self._source,
-            n_records=len(self),
-            split_sizes={name: len(items)
-                         for name, items in self._splits.items()},
-            strategy_counts=strategy_counter(self),
-        )
-
-
 def strategy_counter(records: Any) -> Dict[str, int]:
     """Count records by strategy tag (``"untagged"`` when absent/None)."""
     counts: Dict[str, int] = {}
@@ -124,25 +80,3 @@ def strategy_counter(records: Any) -> Dict[str, int]:
         tag = getattr(table, "strategy", None) or "untagged"
         counts[tag] = counts.get(tag, 0) + 1
     return counts
-
-
-def coerce_training_instances(data: Any, *, owner: str,
-                              split: str = "train") -> Tuple[List[Any], Any]:
-    """Accept a :class:`Dataset` (preferred) or a bare sequence (deprecated).
-
-    Returns ``(instances, dataset_or_None)``.  Bare ``list``/``tuple``
-    arguments emit a ``DeprecationWarning`` (mirroring the PR 5
-    ``evaluate_map`` shim) but keep working bit-identically; any other
-    iterable is consumed silently, since instance-level generators are a
-    supported internal idiom.
-    """
-    if isinstance(data, Dataset) and not isinstance(data, (list, tuple)):
-        return list(data.instances(split)), data
-    if isinstance(data, (list, tuple)):
-        warnings.warn(
-            f"{owner}: passing a bare list of instances is deprecated; "
-            "pass a Dataset (e.g. repro.data.InstanceSet(train=...)) — "
-            "list arguments will be removed two PRs after PR 10",
-            DeprecationWarning, stacklevel=3)
-        return list(data), None
-    return list(data), None

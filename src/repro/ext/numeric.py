@@ -20,7 +20,6 @@ attach a small task head, fine-tune briefly.
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -165,25 +164,10 @@ class TURLValuePredictor(Module):
         return self.classifier(self._row_hidden(instance))
 
     def finetune(self, instances: Sequence[NumericInstance], epochs: int = 2,
-                 batch_size: int = 1, lr: float = 1e-3, seed: int = 0,
-                 spec=None, max_instances: Optional[int] = None,
-                 learning_rate: Optional[float] = None) -> List[float]:
-        """Hand-rolled loop with the canonical keyword set; an explicit
-        ``spec`` supplies ``epochs``/``lr``/``seed``/``max_instances``, and
-        ``learning_rate`` is a deprecated alias of ``lr``.  The loop steps
-        one instance at a time, so ``batch_size`` must stay 1.
-        """
-        if learning_rate is not None:
-            warnings.warn("finetune(learning_rate=...) is deprecated; "
-                          "pass lr=...", DeprecationWarning, stacklevel=2)
-            lr = learning_rate
-        if spec is not None:
-            epochs, lr, seed = spec.epochs, spec.learning_rate, spec.seed
-            max_instances = spec.max_items
-            batch_size = spec.batch_size
-        if batch_size != 1:
-            raise ValueError("TURLValuePredictor.finetune steps one instance "
-                             "at a time; batch_size must be 1")
+                 lr: float = 1e-3, seed: int = 0,
+                 max_instances: Optional[int] = None) -> List[float]:
+        """Hand-rolled loop, one Adam step per instance; returns per-epoch
+        losses."""
         rng = np.random.default_rng(seed)
         optimizer = Adam(self.parameters(), learning_rate=lr)
         instances = list(instances)

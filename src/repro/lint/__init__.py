@@ -17,8 +17,6 @@ EVL001    public ``predict`` / ``evaluate*`` / ``rank*`` on module-like
 EVL002    no bare ``.eval()`` calls — use the mode-restoring ``eval_mode``
 DEF001    no mutable default arguments
 EXC001    no bare ``except:``
-API001    no in-repo calls to deprecated API shims (``evaluate_map`` /
-          ``evaluate_precision_at`` / ``finetune(learning_rate=...)``)
 API002    no function parameters typed ``List[Table]`` / ``Sequence[Table]``
           — corpus-shaped inputs accept ``repro.data.Dataset`` (or
           ``Iterable[Table]``) so sharded corpora stream without

@@ -37,10 +37,6 @@ MODULE_LIKE_BASES = {"Module", "Pretrainer"}
 #: Method names that are public inference entry points.
 EVAL_ENTRY_NAMES = ("predict", "evaluate", "rank")
 
-#: Method names kept only as deprecation shims for the uniform
-#: ``evaluate(...) -> TaskMetrics`` API (API001).
-DEPRECATED_SHIM_CALLS = {"evaluate_map", "evaluate_precision_at"}
-
 #: Module-level helpers whose first string argument names a span (OBS002).
 OBS_NAME_FUNCTIONS = {"trace", "start_trace"}
 #: Method names whose first string argument names a span/metric (OBS002):
@@ -121,11 +117,6 @@ RULES: Dict[str, Rule] = {rule.id: rule for rule in [
     Rule("EXC001", "bare-except",
          "bare `except:` swallows SystemExit/KeyboardInterrupt",
          "catch a concrete exception type (or `except Exception:`)",
-         _everywhere),
-    Rule("API001", "deprecated-shim-call",
-         "call to a deprecated API shim",
-         "use the uniform `evaluate(...) -> TaskMetrics` entry point (or "
-         "`finetune(lr=...)`) instead of the deprecation shim",
          _everywhere),
     Rule("API002", "list-typed-corpus-param",
          "function parameter typed List[Table]/Sequence[Table] pins the "
@@ -228,16 +219,6 @@ class _RuleVisitor(ast.NodeVisitor):
             self._flag("EVL002", node,
                        f"bare `{target}()` call does not restore the caller's "
                        "train/eval mode")
-        if isinstance(node.func, ast.Attribute):
-            if node.func.attr in DEPRECATED_SHIM_CALLS:
-                self._flag("API001", node,
-                           f"`.{node.func.attr}()` is a deprecation shim — "
-                           "call `evaluate(...)` and read TaskMetrics.values")
-            elif (node.func.attr == "finetune"
-                  and any(kw.arg == "learning_rate" for kw in node.keywords)):
-                self._flag("API001", node,
-                           "`finetune(learning_rate=...)` is deprecated — "
-                           "pass `lr=...`")
         self._check_obs_name(node, dotted)
         self.generic_visit(node)
 

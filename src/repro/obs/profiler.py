@@ -31,7 +31,7 @@ import threading
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.obs.clock import perf_counter
 
@@ -247,18 +247,24 @@ def _mb(n_bytes: int) -> str:
     return f"{n_bytes / 1e6:10.2f}" if n_bytes else f"{'-':>10s}"
 
 
-def format_profile_tree(profiler: LayerProfiler, name_width: int = 44) -> str:
+def _name_width(labels: Iterable[str]) -> int:
+    """Name column wide enough for every printed label plus a gap."""
+    return max(len(label) for label in labels) + 2
+
+
+def format_profile_tree(profiler: LayerProfiler) -> str:
     """Flame-style tree: indentation mirrors the module hierarchy, each row
     shows cumulative and self forward seconds, backward seconds, calls."""
     stats = profiler.stats()
+    rows = [(stats[path], "  " * stats[path].depth + path.rsplit("/", 1)[-1])
+            for path in profiler.active_paths()]
+    name_width = _name_width(["Layer"] + [label for _, label in rows])
     header = (f"{'Layer':{name_width}s}{'Calls':>7s}{'Fwd s':>10s}"
               f"{'Self s':>10s}{'Bwd s':>10s}")
     if profiler.memory:
         header += f"{'Peak MB':>10s}"
     lines = [header]
-    for path in profiler.active_paths():
-        s = stats[path]
-        label = "  " * s.depth + path.rsplit("/", 1)[-1]
+    for s, label in rows:
         row = (f"{label:{name_width}s}{s.calls:7d}{s.forward_seconds:10.4f}"
                f"{s.forward_self_seconds:10.4f}{s.backward_seconds:10.4f}")
         if profiler.memory:
@@ -268,7 +274,7 @@ def format_profile_tree(profiler: LayerProfiler, name_width: int = 44) -> str:
 
 
 def format_layer_table(profiler: LayerProfiler, wall_seconds: float,
-                       name_width: int = 44, limit: int = 0) -> str:
+                       limit: int = 0) -> str:
     """Flat per-layer table sorted by cumulative forward seconds.
 
     ``Fwd %`` is each layer's share of ``wall_seconds``, the measured wall
@@ -278,15 +284,17 @@ def format_layer_table(profiler: LayerProfiler, wall_seconds: float,
     ``Fwd %``, the backward share and ``unattributed`` add up to 100.
     """
     stats = profiler.stats()
+    ordered = sorted((stats[p] for p in profiler.active_paths()),
+                     key=lambda s: s.forward_seconds, reverse=True)
+    if limit:
+        ordered = ordered[:limit]
+    name_width = _name_width(["Layer", "unattributed"]
+                             + [s.path for s in ordered])
     header = (f"{'Layer':{name_width}s}{'Calls':>7s}{'Fwd s':>10s}"
               f"{'Fwd %':>8s}{'Bwd s':>10s}{'Ops':>7s}")
     if profiler.memory:
         header += f"{'Peak MB':>10s}"
     lines = [header]
-    ordered = sorted((stats[p] for p in profiler.active_paths()),
-                     key=lambda s: s.forward_seconds, reverse=True)
-    if limit:
-        ordered = ordered[:limit]
     for s in ordered:
         row = (f"{s.path:{name_width}s}{s.calls:7d}{s.forward_seconds:10.4f}"
                f"{100.0 * s.forward_seconds / wall_seconds:8.1f}"

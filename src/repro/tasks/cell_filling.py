@@ -13,7 +13,6 @@ and the pre-trained MER head ranks the candidates (Eqn. 6).
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -239,13 +238,3 @@ class TURLCellFiller:
                   for k, v in per_k.items()}
         return TaskMetrics(task="cell_filling", values=values,
                            primary=f"p@{min(ks)}" if ks else "")
-
-    def evaluate_precision_at(self, instances: Sequence[FillingInstance],
-                              candidate_finder: CellFillingCandidates,
-                              ks: Sequence[int] = (1, 3, 5, 10)) -> Dict[int, float]:
-        """Deprecated alias of :meth:`evaluate`; returns ``{k: P@K}``."""
-        warnings.warn("evaluate_precision_at() is deprecated; use "
-                      "evaluate(...).values['p@<k>']", DeprecationWarning,
-                      stacklevel=2)
-        metrics = self.evaluate(instances, candidate_finder, ks=ks)
-        return {k: metrics.values[f"p@{k}"] for k in ks}

@@ -8,7 +8,6 @@ Table 5.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
@@ -213,31 +212,18 @@ class TURLColumnTypeAnnotator(Module):
         return ColumnTypeTask(self, dataset)
 
     def finetune(self, dataset: ColumnTypeDataset, epochs: int = 5,
-                 batch_size: int = 1, lr: float = 1e-3, seed: int = 0,
-                 spec: Optional[TrainSpec] = None,
+                 lr: float = 1e-3, seed: int = 0,
                  max_instances: Optional[int] = None,
-                 schedule: str = "constant",
-                 gradient_clip: Optional[float] = None,
-                 journal: Optional[RunJournal] = None,
-                 learning_rate: Optional[float] = None) -> List[float]:
+                 journal: Optional[RunJournal] = None) -> List[float]:
         """Fine-tune all parameters with BCE loss; returns per-epoch losses.
 
-        Runs on the shared :class:`repro.train.Trainer`; ``schedule="linear"``
-        and ``gradient_clip`` opt into the paper's pre-training recipe, and
-        ``max_instances`` subsamples whole tables (see
-        :func:`repro.train.subsample_items`).  An explicit ``spec`` overrides
-        the keyword recipe wholesale; ``learning_rate`` is a deprecated alias
-        of ``lr``.
+        Shorthand for ``Trainer(self.training_task(dataset), TrainSpec(...),
+        journal=journal).fit()``; ``max_instances`` subsamples whole tables
+        (see :func:`repro.train.subsample_items`).  For the paper recipe
+        (linear decay, clipping) build the :class:`TrainSpec` directly.
         """
-        if learning_rate is not None:
-            warnings.warn("finetune(learning_rate=...) is deprecated; "
-                          "pass lr=...", DeprecationWarning, stacklevel=2)
-            lr = learning_rate
-        if spec is None:
-            spec = TrainSpec(epochs=epochs, batch_size=batch_size,
-                             learning_rate=lr, schedule=schedule,
-                             gradient_clip=gradient_clip, seed=seed,
-                             max_items=max_instances)
+        spec = TrainSpec(epochs=epochs, learning_rate=lr, seed=seed,
+                         max_items=max_instances)
         stats = Trainer(self.training_task(dataset), spec, journal=journal).fit()
         return stats.epoch_losses
 

@@ -15,7 +15,6 @@ row counts an instance correct whenever the truth is among the candidates.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -26,7 +25,6 @@ from repro.core.context import TURLContext
 from repro.core.linearize import Linearizer
 from repro.core.model import TURLModel
 from repro.data.corpus import TableCorpus
-from repro.data.dataset import coerce_training_instances
 from repro.data.table import Table
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.kb.lookup import LookupService
@@ -288,34 +286,18 @@ class TURLEntityLinker(Module):
         return EntityLinkingTask(self, instances)
 
     def finetune(self, instances: Sequence[LinkingInstance], epochs: int = 3,
-                 batch_size: int = 1, lr: float = 1e-3, seed: int = 0,
-                 spec: Optional[TrainSpec] = None,
+                 lr: float = 1e-3, seed: int = 0,
                  max_instances: Optional[int] = None,
-                 schedule: str = "constant",
-                 gradient_clip: Optional[float] = None,
-                 journal: Optional[RunJournal] = None,
-                 learning_rate: Optional[float] = None) -> List[float]:
+                 journal: Optional[RunJournal] = None) -> List[float]:
         """Cross-entropy over candidates; all parameters are trained.
 
-        Runs on the shared :class:`repro.train.Trainer`; returns per-epoch
-        losses.  ``schedule="linear"`` / ``gradient_clip`` opt into the
-        paper's recipe; ``max_instances`` subsamples whole tables.  An
-        explicit ``spec`` overrides the keyword recipe wholesale;
-        ``learning_rate`` is a deprecated alias of ``lr``.  ``instances``
-        accepts any :class:`repro.data.Dataset` (its train split is used);
-        bare lists still work behind a ``DeprecationWarning``.
+        Shorthand for ``Trainer(self.training_task(instances),
+        TrainSpec(...), journal=journal).fit()``; returns per-epoch losses.
+        ``max_instances`` subsamples whole tables.  For the paper recipe
+        (linear decay, clipping) build the :class:`TrainSpec` directly.
         """
-        instances, _ = coerce_training_instances(
-            instances, owner="TURLEntityLinker.finetune")
-        if learning_rate is not None:
-            warnings.warn("finetune(learning_rate=...) is deprecated; "
-                          "pass lr=...", DeprecationWarning, stacklevel=2)
-            lr = learning_rate
-        if spec is None:
-            spec = TrainSpec(epochs=epochs, batch_size=batch_size,
-                             learning_rate=lr, schedule=schedule,
-                             gradient_clip=gradient_clip, seed=seed,
-                             max_items=max_instances)
+        spec = TrainSpec(epochs=epochs, learning_rate=lr, seed=seed,
+                         max_items=max_instances)
         stats = Trainer(self.training_task(instances), spec,
                         journal=journal).fit()
         return stats.epoch_losses

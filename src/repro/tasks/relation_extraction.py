@@ -10,7 +10,6 @@ with ``map_every`` set.
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -217,32 +216,22 @@ class TURLRelationExtractor(Module):
         return RelationExtractionTask(self, dataset, map_instances=map_instances)
 
     def finetune(self, dataset: RelationDataset, epochs: int = 3,
-                 batch_size: int = 1, lr: float = 1e-3, seed: int = 0,
-                 spec: Optional[TrainSpec] = None,
+                 lr: float = 1e-3, seed: int = 0,
                  max_instances: Optional[int] = None,
                  map_every: Optional[int] = None,
-                 map_instances: int = 40, schedule: str = "constant",
-                 gradient_clip: Optional[float] = None,
-                 journal: Optional[RunJournal] = None,
-                 learning_rate: Optional[float] = None) -> Dict[str, List[float]]:
+                 map_instances: int = 40,
+                 journal: Optional[RunJournal] = None) -> Dict[str, List[float]]:
         """Fine-tune; optionally record validation MAP every ``map_every``
         steps (Figure 6).  Returns ``{"losses": [...], "map_steps": [...],
         "map_values": [...]}``.
 
-        Runs on the shared :class:`repro.train.Trainer`; ``schedule="linear"``
-        / ``gradient_clip`` opt into the paper's recipe.  An explicit ``spec``
-        overrides the keyword recipe wholesale; ``learning_rate`` is a
-        deprecated alias of ``lr``.
+        Shorthand for ``Trainer(self.training_task(dataset, map_instances),
+        TrainSpec(..., eval_every=map_every), journal=journal).fit()``; for
+        the paper recipe (linear decay, clipping) build the
+        :class:`TrainSpec` directly.
         """
-        if learning_rate is not None:
-            warnings.warn("finetune(learning_rate=...) is deprecated; "
-                          "pass lr=...", DeprecationWarning, stacklevel=2)
-            lr = learning_rate
-        if spec is None:
-            spec = TrainSpec(epochs=epochs, batch_size=batch_size,
-                             learning_rate=lr, schedule=schedule,
-                             gradient_clip=gradient_clip, seed=seed,
-                             max_items=max_instances, eval_every=map_every)
+        spec = TrainSpec(epochs=epochs, learning_rate=lr, seed=seed,
+                         max_items=max_instances, eval_every=map_every)
         task = self.training_task(dataset, map_instances=map_instances)
         stats = Trainer(task, spec, journal=journal).fit()
         return {"losses": stats.losses, "map_steps": stats.eval_steps,

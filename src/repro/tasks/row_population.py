@@ -15,7 +15,6 @@ the multi-label soft-margin loss of Eqn. 13.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -25,7 +24,6 @@ from repro.core.batching import encode_table
 from repro.core.linearize import Linearizer
 from repro.core.model import TURLModel
 from repro.data.corpus import TableCorpus
-from repro.data.dataset import coerce_training_instances
 from repro.data.table import Column, EntityCell, Table
 from repro.nn import Module, Parameter, Tensor, binary_cross_entropy_logits, eval_mode, no_grad
 from repro.obs import RunJournal, trace
@@ -216,33 +214,19 @@ class TURLRowPopulator(Module):
 
     def finetune(self, instances: Sequence[PopulationInstance],
                  generator: PopulationCandidateGenerator, epochs: int = 2,
-                 batch_size: int = 1, lr: float = 1e-3, seed: int = 0,
-                 spec: Optional[TrainSpec] = None,
+                 lr: float = 1e-3, seed: int = 0,
                  max_instances: Optional[int] = None,
                  max_candidates: int = 100,
-                 schedule: str = "constant",
-                 gradient_clip: Optional[float] = None,
-                 journal: Optional[RunJournal] = None,
-                 learning_rate: Optional[float] = None) -> List[float]:
-        """Eqn. 13 fine-tuning on the shared :class:`repro.train.Trainer`;
-        returns per-epoch losses.
+                 journal: Optional[RunJournal] = None) -> List[float]:
+        """Eqn. 13 fine-tuning; returns per-epoch losses.
 
-        An explicit ``spec`` overrides the keyword recipe wholesale;
-        ``learning_rate`` is a deprecated alias of ``lr``.  ``instances``
-        accepts any :class:`repro.data.Dataset` (its train split is used);
-        bare lists still work behind a ``DeprecationWarning``.
+        Shorthand for ``Trainer(self.training_task(instances, generator,
+        max_candidates), TrainSpec(...), journal=journal).fit()``; for the
+        paper recipe (linear decay, clipping) build the :class:`TrainSpec`
+        directly.
         """
-        instances, _ = coerce_training_instances(
-            instances, owner="TURLRowPopulator.finetune")
-        if learning_rate is not None:
-            warnings.warn("finetune(learning_rate=...) is deprecated; "
-                          "pass lr=...", DeprecationWarning, stacklevel=2)
-            lr = learning_rate
-        if spec is None:
-            spec = TrainSpec(epochs=epochs, batch_size=batch_size,
-                             learning_rate=lr, schedule=schedule,
-                             gradient_clip=gradient_clip, seed=seed,
-                             max_items=max_instances)
+        spec = TrainSpec(epochs=epochs, learning_rate=lr, seed=seed,
+                         max_items=max_instances)
         task = self.training_task(instances, generator,
                                   max_candidates=max_candidates)
         stats = Trainer(task, spec, journal=journal).fit()
@@ -270,11 +254,3 @@ class TURLRowPopulator(Module):
             task="row_population",
             values={"map": mean_average_precision(rankings, truths)},
             primary="map")
-
-    def evaluate_map(self, instances: Sequence[PopulationInstance],
-                     generator: PopulationCandidateGenerator) -> float:
-        """Deprecated alias of :meth:`evaluate`; returns the bare MAP."""
-        warnings.warn("evaluate_map() is deprecated; use "
-                      "evaluate(...).values['map']", DeprecationWarning,
-                      stacklevel=2)
-        return self.evaluate(instances, generator).primary_value

@@ -1,6 +1,4 @@
-"""The unified ``repro.data.Dataset`` protocol and its deprecation shims."""
-
-import warnings
+"""The unified ``repro.data.Dataset`` protocol."""
 
 import pytest
 
@@ -8,27 +6,10 @@ from repro.data.dataset import (
     SPLIT_NAMES,
     Dataset,
     DatasetMetadata,
-    InstanceSet,
-    coerce_training_instances,
     strategy_counter,
 )
-from repro.data.preprocessing import filter_relational, partition_corpus
-from repro.data.synthesis import SynthesisConfig, build_corpus
 from repro.tasks.column_type import build_column_type_dataset
-from repro.tasks.entity_linking import TURLEntityLinker
 from repro.tasks.relation_extraction import build_relation_dataset
-
-
-def test_instance_set_is_a_dataset():
-    dataset = InstanceSet(train=[1, 2, 3], validation=[4], test=[5])
-    assert isinstance(dataset, Dataset)
-    assert len(dataset) == 5
-    assert list(dataset) == [1, 2, 3, 4, 5]
-    assert dataset.instances("validation") == [4]
-    assert dataset.metadata.split_sizes == {
-        "train": 3, "validation": 1, "test": 1}
-    with pytest.raises(KeyError):
-        dataset.instances("dev")
 
 
 def test_table_corpus_and_splits_are_datasets(corpus, splits):
@@ -62,51 +43,3 @@ def test_strategy_counter_tags_and_untagged(corpus):
     counts = strategy_counter(corpus.tables)
     assert sum(counts.values()) == len(corpus.tables)
     assert all(count > 0 for count in counts.values())
-
-
-def test_coerce_accepts_dataset_without_warning():
-    dataset = InstanceSet(train=["a", "b"], validation=["c"])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        instances, source = coerce_training_instances(dataset, owner="test")
-    assert instances == ["a", "b"]
-    assert source is dataset
-
-
-def test_coerce_warns_on_bare_list():
-    with pytest.warns(DeprecationWarning, match="two PRs after PR 10"):
-        instances, source = coerce_training_instances([1, 2], owner="test")
-    assert instances == [1, 2]
-    assert source is None
-
-
-def test_coerce_consumes_other_iterables_silently():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        instances, source = coerce_training_instances(
-            iter([3, 4]), owner="test")
-    assert instances == [3, 4]
-    assert source is None
-
-
-def test_finetune_list_shim_warns_and_matches_dataset_path(context):
-    """`finetune(list)` and `finetune(InstanceSet(train=list))` are twins."""
-    from repro.kb.lookup import LookupService
-    from repro.kb.schema import all_types
-    from repro.tasks.entity_linking import build_linking_dataset
-
-    lookup = LookupService(context.kb)
-    train = build_linking_dataset(context.splits.train, lookup,
-                                  require_truth=True, max_instances=6, seed=1)
-
-    def fresh():
-        return TURLEntityLinker(context.clone_model(), context.linearizer,
-                                context.kb, all_types())
-
-    with pytest.warns(DeprecationWarning, match="bare list"):
-        legacy = fresh().finetune(list(train), epochs=1, seed=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        modern = fresh().finetune(InstanceSet(train=list(train)),
-                                  epochs=1, seed=0)
-    assert legacy == modern

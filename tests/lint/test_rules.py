@@ -195,34 +195,6 @@ def test_evl001_delegation_is_transitive():
     assert result.ok
 
 
-# -- API001 -----------------------------------------------------------------
-
-def test_api001_flags_deprecated_shim_calls():
-    result = _lint("""
-        def report(head, instances, generator):
-            return head.evaluate_map(instances, generator)
-    """)
-    assert _rule_ids(result) == ["API001"]
-
-
-def test_api001_flags_precision_shim_and_learning_rate_keyword():
-    result = _lint("""
-        def run(filler, head, instances, candidates):
-            head.finetune(instances, learning_rate=1e-3)
-            return filler.evaluate_precision_at(instances, candidates)
-    """)
-    assert _rule_ids(result) == ["API001", "API001"]
-
-
-def test_api001_allows_canonical_calls():
-    result = _lint("""
-        def report(head, instances, generator):
-            head.finetune(instances, lr=1e-3)
-            return head.evaluate(instances, generator).primary_value
-    """)
-    assert result.ok
-
-
 # -- API002 -----------------------------------------------------------------
 
 def test_api002_flags_list_typed_corpus_params():

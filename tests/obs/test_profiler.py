@@ -1,6 +1,8 @@
 """Layer profiler: path mapping, forward/backward attribution, memory
 windows, bit-identity with profiling on/off, and report rendering."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -177,7 +179,9 @@ def _fwd_percent(table):
     return percent
 
 
-def test_layer_table_reconciles_to_measured_wall(context):
+def _profiled_pretrain(context):
+    """Profile one small pre-training epoch; return the profiler and the
+    run's measured wall seconds."""
     from repro.core.pretrain import Pretrainer
 
     model = context.fresh_model(seed=3)
@@ -186,7 +190,11 @@ def test_layer_table_reconciles_to_measured_wall(context):
                             context.config, seed=1)
     with profile(model) as profiler:
         stats = pretrainer.train(n_epochs=1)
-    wall = stats.wall_seconds
+    return profiler, stats.wall_seconds
+
+
+def test_layer_table_reconciles_to_measured_wall(context):
+    profiler, wall = _profiled_pretrain(context)
     table = format_layer_table(profiler, wall)
     percent = _fwd_percent(table)
     # TURLModel.encode bypasses Module.__call__: the top-most rows that ran
@@ -200,3 +208,18 @@ def test_layer_table_reconciles_to_measured_wall(context):
     total = (sum(percent[path] for path in top) + backward
              + percent["unattributed"])
     assert total == pytest.approx(100.0, abs=0.5)
+
+
+def test_name_column_fits_the_longest_label(context):
+    """Deep paths such as ``model/encoder/blocks/items/0/attention/output``
+    must not push their row's ``Calls`` column right of the header's."""
+    profiler, wall = _profiled_pretrain(context)
+    assert max(len(path) for path in profiler.active_paths()) > 44
+    for table in (format_profile_tree(profiler),
+                  format_layer_table(profiler, wall)):
+        header, *rows = table.splitlines()
+        calls_end = re.match(r"Layer +Calls", header).end()
+        layer_rows = [row for row in rows if not row.startswith("unattributed")]
+        assert layer_rows
+        for row in layer_rows:
+            assert re.match(r" *\S+ +\d+", row).end() == calls_end, row

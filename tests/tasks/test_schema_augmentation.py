@@ -10,6 +10,7 @@ from repro.tasks.schema_augmentation import (
     build_schema_instances,
     normalize_header,
 )
+from repro.train import Trainer, TrainSpec
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +86,23 @@ def test_turl_augmenter_finetunes_and_ranks(schema):
     assert set(ranked) <= set(vocabulary)
     metrics = augmenter.evaluate(test[:10])
     assert 0.0 <= metrics.primary_value <= 1.0
+
+
+def test_finetune_is_the_trainer_path(schema):
+    """`finetune(...)` is shorthand for the Trainer call README documents."""
+    context, vocabulary = schema
+    instances = build_schema_instances(context.splits.train, vocabulary,
+                                       n_seed=0)[:2]
+
+    def fresh():
+        return TURLSchemaAugmenter(context.clone_model(), context.linearizer,
+                                   vocabulary)
+
+    losses = fresh().finetune(instances, epochs=1, lr=1e-3, seed=0)
+    twin = fresh()
+    stats = Trainer(twin.training_task(instances),
+                    TrainSpec(epochs=1, learning_rate=1e-3, seed=0)).fit()
+    assert losses == stats.epoch_losses
 
 
 def test_turl_augmenter_header_embeddings_initialized(schema):
