@@ -35,7 +35,7 @@ def test_ext_kb_injection(bench_context, report, benchmark):
                           ctx.config, seed=0)
         pretrainer = KBInjectionPretrainer(model, instances, builder, ctx.kb,
                                            config=ctx.config, seed=0)
-        pretrainer.train_with_kb(n_epochs=ABLATION_EPOCHS)
+        pretrainer.train(n_epochs=ABLATION_EPOCHS)
         relation_losses = [l for l in pretrainer.relation_losses if l > 0]
         clustering = type_clustering_score(model, ctx.entity_vocab, ctx.kb, TYPES)
         return _probe(ctx, pretrainer), relation_losses, clustering

@@ -52,7 +52,7 @@ def main() -> None:
     injected = KBInjectionPretrainer(context.fresh_model(seed=5), instances,
                                      context.candidate_builder, context.kb,
                                      config=context.config)
-    injected.train_with_kb(n_epochs=4)
+    injected.train(n_epochs=4)
     plain = Pretrainer(context.fresh_model(seed=5), instances,
                        context.candidate_builder, context.config)
     plain.train(n_epochs=4)

@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.config import TURLConfig
 from repro.core.context import build_context
-from repro.core.pretrain import Pretrainer
+from repro.core.pretrain import evaluate_object_prediction
 from repro.data.statistics import format_statistics, splits_statistics
 from repro.data.synthesis import SynthesisConfig
 from repro.kb.generator import WorldConfig
@@ -35,10 +35,10 @@ def main() -> None:
 
     # 2. The pre-training probe (paper Section 6.8): mask an object entity,
     #    recover it from a candidate set.
-    pretrainer = Pretrainer(context.model, [], context.candidate_builder,
-                            context.config)
     validation = context.instances_for(context.splits.validation)
-    accuracy = pretrainer.evaluate_object_prediction(validation, max_tables=20)
+    accuracy = evaluate_object_prediction(context.model,
+                                          context.candidate_builder,
+                                          validation, max_tables=20)
     print(f"\nobject-entity recovery accuracy (validation): {accuracy:.3f}")
 
     # 3. Peek at one table and its masked-entity prediction.

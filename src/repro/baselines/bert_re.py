@@ -112,8 +112,8 @@ class BertStyleRelationExtractor(Module):
                 labels = dataset.label_vector(instance).reshape(1, -1)
                 loss = binary_cross_entropy_logits(logits, labels)
                 self.zero_grad()
-                loss.backward()
-                optimizer.step()
+                loss.backward()  # lint: disable=TRN001(RNG stream sets Table 7)
+                optimizer.step()  # lint: disable=TRN001(RNG stream sets Table 7)
                 history["losses"].append(loss.item())
                 step += 1
                 if map_every and step % map_every == 0:

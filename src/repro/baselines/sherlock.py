@@ -144,8 +144,8 @@ class SherlockModel:
                 logits = self.network(Tensor(features[rows]))
                 loss = binary_cross_entropy_logits(logits, labels[rows])
                 self.network.zero_grad()
-                loss.backward()
-                optimizer.step()
+                loss.backward()  # lint: disable=TRN001(RNG stream sets Table 5)
+                optimizer.step()  # lint: disable=TRN001(RNG stream sets Table 5)
                 epoch_losses.append(loss.item())
             losses.append(float(np.mean(epoch_losses)))
             if validation_patience is not None and dataset.validation:

@@ -363,7 +363,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_probe(args: argparse.Namespace) -> int:
     from repro.core.candidates import CandidateBuilder
     from repro.core.linearize import Linearizer
-    from repro.core.pretrain import Pretrainer, load_checkpoint
+    from repro.core.pretrain import evaluate_object_prediction, load_checkpoint
     from repro.data.preprocessing import filter_relational, partition_corpus
     from repro.data.synthesis import SynthesisConfig, build_corpus
     from repro.kb.generator import WorldConfig, generate_world
@@ -375,9 +375,8 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     splits = partition_corpus(corpus, seed=args.seed)
     linearizer = Linearizer(tokenizer, entity_vocab, model.config)
     builder = CandidateBuilder(splits.train, entity_vocab, model.config)
-    pretrainer = Pretrainer(model, [], builder, model.config)
     instances = [linearizer.encode(t) for t in splits.validation.tables[:args.max_tables]]
-    accuracy = pretrainer.evaluate_object_prediction(instances)
+    accuracy = evaluate_object_prediction(model, builder, instances)
     print(f"object-entity recovery accuracy: {accuracy:.3f}")
     return 0
 

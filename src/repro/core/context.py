@@ -11,9 +11,8 @@ build vocabularies → pre-train.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import List, Optional
-
-import numpy as np
 
 from repro.config import TURLConfig
 from repro.core.candidates import CandidateBuilder
@@ -49,28 +48,20 @@ def as_corpus_splits(corpus: Dataset, seed: int = 0) -> CorpusSplits:
                         TableCorpus(corpus.instances("test")))
 
 
-def pretrain_streaming(dataset: Dataset,
-                       model_config: TURLConfig = TURLConfig(),
-                       pretrain_epochs: int = 3,
-                       vocab_size: int = 4000,
-                       entity_min_frequency: int = 2,
-                       seed: int = 0,
-                       journal: Optional[RunJournal] = None,
-                       sanitize: bool = False,
-                       shuffle: str = "flat"):
-    """Pre-train directly off a dataset without materializing instances.
+#: Validation tables the recovery probe scores after a journaled run.
+PROBE_TABLES = 50
 
-    The streaming counterpart of :func:`build_context`'s pre-training stage:
-    vocabularies are built from the dataset's train split, but the epoch
-    loop draws each table through a
-    :class:`~repro.core.stream.TableInstanceStream` — decode + linearize
-    happen per step, so peak memory stays bounded by one batch regardless of
-    corpus size.  With ``shuffle="flat"`` the step sequence is bit-identical
-    to the eager in-memory path over the same split; ``shuffle="shard"``
-    adds shard-local bucketing for memory-mapped
-    :class:`~repro.data.shards.ShardedDataset` corpora.
 
-    Returns ``(model, tokenizer, entity_vocab, stats)``.
+def _pretrain_stage(dataset: Dataset, model_config: TURLConfig,
+                    pretrain_epochs: int, vocab_size: int,
+                    entity_min_frequency: int, seed: int,
+                    journal: Optional[RunJournal], sanitize: bool,
+                    shuffle: str, stream: bool):
+    """Vocabularies → model → linearizer → candidates → pre-training on
+    ``dataset``'s train split (linearized per step when ``stream``).
+
+    A journaled run ends with the recovery probe, which runs under
+    ``no_grad`` with its own fixed rng and so leaves the weights alone.
     """
     if hasattr(dataset, "metadata_texts"):
         texts = dataset.metadata_texts("train")
@@ -91,11 +82,49 @@ def pretrain_streaming(dataset: Dataset,
 
     stats = None
     if pretrain_epochs > 0:
-        stream = TableInstanceStream(dataset, linearizer, split="train")
-        pretrainer = Pretrainer(model, stream, candidate_builder,
+        instances = (TableInstanceStream(dataset, linearizer, split="train")
+                     if stream else [linearizer.encode(table) for table
+                                     in dataset.instances("train")])
+        pretrainer = Pretrainer(model, instances, candidate_builder,
                                 model_config, seed=seed, journal=journal,
                                 sanitize=sanitize, shuffle=shuffle)
-        stats = pretrainer.train(n_epochs=pretrain_epochs)
+        eval_instances = None
+        if journal is not None:
+            validation = islice(dataset.instances("validation"), PROBE_TABLES)
+            eval_instances = [linearizer.encode(table) for table in validation]
+        stats = pretrainer.train(n_epochs=pretrain_epochs,
+                                 eval_instances=eval_instances,
+                                 max_eval_tables=PROBE_TABLES)
+    return model, tokenizer, entity_vocab, linearizer, candidate_builder, stats
+
+
+def pretrain_streaming(dataset: Dataset,
+                       model_config: TURLConfig = TURLConfig(),
+                       pretrain_epochs: int = 3,
+                       vocab_size: int = 4000,
+                       entity_min_frequency: int = 2,
+                       seed: int = 0,
+                       journal: Optional[RunJournal] = None,
+                       sanitize: bool = False,
+                       shuffle: str = "flat"):
+    """Pre-train directly off a dataset without materializing instances.
+
+    The streaming counterpart of :func:`build_context`, sharing its
+    pre-training stage: vocabularies are built from the dataset's train
+    split, but the epoch loop draws each table through a
+    :class:`~repro.core.stream.TableInstanceStream` — decode + linearize
+    happen per step, so peak memory stays bounded by one batch regardless of
+    corpus size.  With ``shuffle="flat"`` the step sequence is bit-identical
+    to the eager in-memory path over the same split; ``shuffle="shard"``
+    adds shard-local bucketing for memory-mapped
+    :class:`~repro.data.shards.ShardedDataset` corpora.  A ``journal`` gets
+    the same closing probe event as :func:`build_context`'s.
+
+    Returns ``(model, tokenizer, entity_vocab, stats)``.
+    """
+    model, tokenizer, entity_vocab, _, _, stats = _pretrain_stage(
+        dataset, model_config, pretrain_epochs, vocab_size,
+        entity_min_frequency, seed, journal, sanitize, shuffle, stream=True)
     return model, tokenizer, entity_vocab, stats
 
 
@@ -147,7 +176,8 @@ def build_context(world_config: WorldConfig = WorldConfig(),
 
     Set ``pretrain_epochs=0`` to skip pre-training (random initialization).
     ``journal`` (a :class:`repro.obs.RunJournal`) records one JSONL event
-    per pre-training step; it never alters the seeded result.
+    per pre-training step and a closing recovery-probe event; it never
+    alters the seeded result.
     ``shuffle`` selects the pre-training epoch order: ``"flat"`` (the
     historical bit-identical default), ``"bucket"`` (length-bucketed batches
     with no padding waste) or ``"shard"`` (shard-local bucketing; both
@@ -161,40 +191,17 @@ def build_context(world_config: WorldConfig = WorldConfig(),
     materializes the splits — for RAM-bounded streaming pre-training of a
     checkpoint use :func:`pretrain_streaming` instead.
     """
+    kb = generate_world(world_config) if kb is None else kb
     if corpus is None:
-        kb = generate_world(world_config) if kb is None else kb
         table_corpus = filter_relational(build_corpus(kb, synthesis_config))
         splits = partition_corpus(table_corpus, seed=seed)
     else:
-        kb = generate_world(world_config) if kb is None else kb
         splits = as_corpus_splits(corpus, seed=seed)
 
-    tokenizer = WordPieceTokenizer.train(splits.train.metadata_texts(),
-                                         vocab_size=vocab_size)
-    entity_vocab = EntityVocabulary.build_from_counts(
-        splits.train.entity_counts(), min_frequency=entity_min_frequency)
-
-    model = TURLModel(len(tokenizer.vocab), len(entity_vocab), model_config,
-                      seed=seed)
-    linearizer = Linearizer(tokenizer, entity_vocab, model_config)
-    candidate_builder = CandidateBuilder(splits.train, entity_vocab, model_config)
-
-    stats = None
-    if pretrain_epochs > 0:
-        instances = [linearizer.encode(table) for table in splits.train]
-        pretrainer = Pretrainer(model, instances, candidate_builder,
-                                model_config, seed=seed, journal=journal,
-                                sanitize=sanitize, shuffle=shuffle)
-        # With a journal attached, finish with the recovery probe so the
-        # journal carries a probe event; the probe runs under no_grad with
-        # its own fixed rng, so the trained weights are unaffected.
-        eval_instances = None
-        if journal is not None:
-            eval_instances = [linearizer.encode(table)
-                              for table in splits.validation]
-        stats = pretrainer.train(n_epochs=pretrain_epochs,
-                                 eval_instances=eval_instances)
-
+    model, tokenizer, entity_vocab, linearizer, candidate_builder, stats = \
+        _pretrain_stage(splits, model_config, pretrain_epochs, vocab_size,
+                        entity_min_frequency, seed, journal, sanitize,
+                        shuffle, stream=False)
     return TURLContext(
         kb=kb,
         splits=splits,

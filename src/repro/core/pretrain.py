@@ -1,22 +1,24 @@
 """Pre-training (paper Section 4.4) as a task on the shared engine.
 
 The joint loss is MLM + MER cross-entropy (Eqn. 7), optimized with Adam
-under a linearly decaying learning rate.  Since PR 2 the loop itself lives
-in :mod:`repro.train` — :class:`Pretrainer` builds a
-:class:`~repro.train.TrainableTask` (:class:`PretrainObjective`) and drives
-the same :class:`~repro.train.Trainer` as every fine-tuning head, which is
-where optimizer construction, shuffling, clipping, stats, journaling and
-checkpointing now live.  :meth:`Pretrainer.evaluate_object_prediction`
-implements the ablation probe of Section 6.8: mask an object entity cell
-(both entity embedding and mention), recover it from a candidate set, and
-report top-1 accuracy.
+under a linearly decaying learning rate.  The loop itself lives in
+:mod:`repro.train`: :class:`Pretrainer` is a
+:class:`~repro.train.TrainableTask` and drives the same
+:class:`~repro.train.Trainer` as every fine-tuning head, which is where
+optimizer construction, shuffling, clipping, stats, journaling and
+checkpointing live.  Auxiliary objectives (e.g.
+:class:`repro.ext.kb_injection.KBInjectionPretrainer`) are extra loss terms
+on :meth:`Pretrainer.compute_loss`, not a second loop.
+:func:`evaluate_object_prediction` implements the ablation probe of Section
+6.8: mask an object entity cell (both entity embedding and mention), recover
+it from a candidate set, and report top-1 accuracy.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,12 +29,12 @@ from repro.core.linearize import ETYPE_OBJECT, TableInstance
 from repro.core.masking import IGNORE, MaskingPolicy
 from repro.core.model import TURLModel
 from repro.core.stream import TableInstanceStream
-from repro.nn import eval_mode, masked_cross_entropy
+from repro.nn import Tensor, eval_mode, masked_cross_entropy, no_grad
 from repro.nn.serialization import load_state, save_state_dict
 from repro.obs import RunJournal, trace
 from repro.text.tokenizer import WordPieceTokenizer
 from repro.text.vocab import MASK_ID, SPECIAL_TOKENS, Vocabulary
-from repro.train import StepOutput, TrainableTask, Trainer, TrainSpec, build_optimizer
+from repro.train import StepOutput, TrainableTask, Trainer, TrainSpec
 
 _FIRST_REAL_ID = len(SPECIAL_TOKENS)
 
@@ -59,51 +61,93 @@ class PretrainStats:
         return self.steps / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
 
-class PretrainObjective(TrainableTask):
-    """MLM + MER as a :class:`TrainableTask` on the shared engine.
+class Pretrainer(TrainableTask):
+    """MLM + MER pre-training over linearized tables, on the shared engine.
 
-    Items are :class:`TableInstance` objects — or, when the pretrainer wraps
-    a :class:`~repro.core.stream.TableInstanceStream`, plain record
-    positions that :meth:`loss` resolves (decode + linearize) only at step
-    time, so a streaming epoch never materializes the corpus.  The engine's
-    ``batch_size`` chunks items and :meth:`loss` collates each chunk (an
-    already-collated batch dictionary is also accepted, for direct
-    :meth:`Pretrainer.step` calls).
+    ``instances`` is an eager ``Sequence[TableInstance]`` or a
+    :class:`~repro.core.stream.TableInstanceStream`; for a stream the
+    engine's items are record positions that :meth:`loss` decodes and
+    linearizes at step time, so an epoch never materializes the corpus, and
+    ``shuffle="shard"`` orders epochs shard-locally.  :meth:`loss` collates
+    each chunk of ``batch_size`` items (or takes an already-collated batch,
+    for direct :meth:`step` calls).
+
+    The optimizer is built by the first :meth:`train` / :meth:`step` and
+    kept for later calls, so its learning-rate schedule spans the first
+    call's ``ceil(len(instances) / batch_size) * n_epochs`` steps.
     """
 
     name = "pretrain"
 
-    def __init__(self, pretrainer: "Pretrainer",
-                 eval_instances: Optional[Sequence[TableInstance]] = None,
-                 max_eval_tables: int = 50):
-        self.pretrainer = pretrainer
-        self.module = pretrainer.model
-        self.eval_instances = eval_instances
-        self.max_eval_tables = max_eval_tables
+    def __init__(self, model: TURLModel,
+                 instances: Union[Sequence[TableInstance],
+                                  TableInstanceStream],
+                 candidate_builder: CandidateBuilder,
+                 config: Optional[TURLConfig] = None, seed: int = 0,
+                 use_visibility: bool = True,
+                 journal: Optional[RunJournal] = None,
+                 sanitize: bool = False, shuffle: str = "flat"):
+        self.model = model
+        #: the module whose parameters the engine optimizes.
+        self.module = model
+        self.instances = (instances
+                          if isinstance(instances, TableInstanceStream)
+                          else list(instances))
+        self.candidates = candidate_builder
+        self.config = config if config is not None else model.config
+        self.masking = MaskingPolicy(self.config, model.vocab_size,
+                                     model.entity_vocab_size)
+        self.seed = seed
+        self.rng = np.random.default_rng(seed)
+        self.use_visibility = use_visibility
+        self.optimizer = None
+        self.journal = journal
+        self.sanitize = sanitize
+        self.shuffle = shuffle
+        self._eval_instances: Optional[Sequence[TableInstance]] = None
+        self._max_eval_tables = 50
 
+    def _spec(self, n_epochs: int = 1,
+              eval_every: Optional[int] = None) -> TrainSpec:
+        """The paper's pre-training recipe as an engine spec."""
+        return TrainSpec(epochs=n_epochs,
+                         learning_rate=self.config.learning_rate,
+                         weight_decay=self.config.weight_decay,
+                         schedule="linear",
+                         gradient_clip=self.config.gradient_clip,
+                         batch_size=self.config.batch_size,
+                         shuffle=self.shuffle,
+                         seed=self.seed, eval_every=eval_every,
+                         eval_at_end=True, sanitize=self.sanitize)
+
+    # -- TrainableTask -----------------------------------------------------
     @property
     def _stream(self) -> Optional[TableInstanceStream]:
-        instances = self.pretrainer.instances
+        instances = self.instances
         return instances if isinstance(instances, TableInstanceStream) else None
 
     def build_batches(self) -> Sequence[Any]:
         stream = self._stream
         if stream is not None:
             return list(range(len(stream)))
-        return list(self.pretrainer.instances)
+        return list(self.instances)
 
     def _resolve(self, item: Union[int, TableInstance]) -> TableInstance:
         if isinstance(item, (int, np.integer)):
             return self._stream.fetch(int(item))
         return item
 
+    def collate_batch(self, instances: List[TableInstance]) -> Dict[str, Any]:
+        """Pad ``instances`` into one batch; subclasses add their inputs."""
+        return collate(instances)
+
     def loss(self, batch: Union[Dict[str, np.ndarray], List[TableInstance],
                                 TableInstance, int],
              rng: np.random.Generator) -> StepOutput:
         if not isinstance(batch, dict):
             chunk = batch if isinstance(batch, list) else [batch]
-            batch = collate([self._resolve(item) for item in chunk])
-        return self.pretrainer.compute_loss(batch, rng)
+            batch = self.collate_batch([self._resolve(item) for item in chunk])
+        return self.compute_loss(batch, rng)
 
     def bucket_key(self, item: Union[int, TableInstance]):
         if isinstance(item, (int, np.integer)):
@@ -120,71 +164,22 @@ class PretrainObjective(TrainableTask):
         return stream.fingerprint() if stream is not None else None
 
     def eval_metric(self) -> Optional[float]:
-        if self.eval_instances is None:
+        if self._eval_instances is None:
             return None
-        return self.pretrainer.evaluate_object_prediction(
-            self.eval_instances, max_tables=self.max_eval_tables)
+        return self.evaluate_object_prediction(
+            self._eval_instances, max_tables=self._max_eval_tables)
 
     def config_dict(self) -> dict:
-        return self.pretrainer.config.to_dict()
-
-
-class Pretrainer:
-    """Runs MLM + MER pre-training over linearized tables.
-
-    ``instances`` is either an eager ``Sequence[TableInstance]`` (the
-    historical in-memory path, bit-identical as ever) or a
-    :class:`~repro.core.stream.TableInstanceStream`, in which case records
-    are decoded and linearized lazily at step time and
-    ``shuffle="shard"`` orders epochs shard-locally.
-    """
-
-    def __init__(self, model: TURLModel,
-                 instances: Union[Sequence[TableInstance],
-                                  TableInstanceStream],
-                 candidate_builder: CandidateBuilder,
-                 config: Optional[TURLConfig] = None, seed: int = 0,
-                 use_visibility: bool = True,
-                 journal: Optional[RunJournal] = None,
-                 sanitize: bool = False, shuffle: str = "flat"):
-        self.model = model
-        self.instances = (instances
-                          if isinstance(instances, TableInstanceStream)
-                          else list(instances))
-        self.candidates = candidate_builder
-        self.config = config if config is not None else model.config
-        self.masking = MaskingPolicy(self.config, model.vocab_size,
-                                     model.entity_vocab_size)
-        self.seed = seed
-        self.rng = np.random.default_rng(seed)
-        self.use_visibility = use_visibility
-        self.optimizer = None
-        self.journal = journal
-        self.sanitize = sanitize
-        self.shuffle = shuffle
-
-    def _spec(self, n_epochs: int = 1,
-              eval_every: Optional[int] = None) -> TrainSpec:
-        """The paper's pre-training recipe as an engine spec."""
-        return TrainSpec(epochs=n_epochs,
-                         learning_rate=self.config.learning_rate,
-                         weight_decay=self.config.weight_decay,
-                         schedule="linear", final_lr_fraction=0.1,
-                         gradient_clip=self.config.gradient_clip,
-                         batch_size=self.config.batch_size,
-                         shuffle=self.shuffle,
-                         seed=self.seed, eval_every=eval_every,
-                         eval_at_end=True, sanitize=self.sanitize)
-
-    def _ensure_optimizer(self, total_steps: int) -> None:
-        if self.optimizer is None:
-            self.optimizer = build_optimizer(self.model.parameters(),
-                                             self._spec(), max(1, total_steps))
+        return self.config.to_dict()
 
     # -- joint objective --------------------------------------------------
-    def compute_loss(self, batch: Dict[str, np.ndarray],
-                     rng: np.random.Generator) -> StepOutput:
-        """Mask ``batch`` and evaluate the joint MLM + MER loss (Eqn. 7)."""
+    def joint_loss(self, batch: Dict[str, np.ndarray],
+                   rng: np.random.Generator) -> Tuple[StepOutput, Tensor]:
+        """Mask ``batch`` and evaluate the joint MLM + MER loss (Eqn. 7).
+
+        Also returns the entity states of the masked batch, for objectives
+        that add loss terms on top (see :meth:`compute_loss`).
+        """
         masked = self.masking.apply(batch, rng)
         token_hidden, entity_hidden = self.model.encode(
             masked.batch, use_visibility=self.use_visibility)
@@ -208,7 +203,12 @@ class Pretrainer:
             total = mer_loss if total is None else total + mer_loss
         extras["tokens"] = int(batch["token_mask"].sum()
                                + batch["entity_mask"].sum())
-        return StepOutput(loss=total, extras=extras)
+        return StepOutput(loss=total, extras=extras), entity_hidden
+
+    def compute_loss(self, batch: Dict[str, np.ndarray],
+                     rng: np.random.Generator) -> StepOutput:
+        """The step loss; subclasses add terms to :meth:`joint_loss`."""
+        return self.joint_loss(batch, rng)[0]
 
     # -- one optimization step -------------------------------------------
     def step(self, batch: Dict[str, np.ndarray]) -> Dict[str, float]:
@@ -219,8 +219,8 @@ class Pretrainer:
         ``backward_seconds`` / ``optimizer_seconds``), the pre-clip gradient
         norm and the learning rate applied this step.
         """
-        executor = Trainer(PretrainObjective(self), self._spec(),
-                           rng=self.rng, optimizer=self.optimizer)
+        executor = Trainer(self, self._spec(), rng=self.rng,
+                           optimizer=self.optimizer)
         result = executor.run_step(batch)
         self.optimizer = executor.optimizer
         return result
@@ -233,19 +233,19 @@ class Pretrainer:
         """Train for ``n_epochs`` passes over the corpus on the shared engine.
 
         When ``eval_instances`` is provided the object-entity-prediction
-        probe runs every ``eval_every`` steps (and once at the end).
+        probe runs on at most ``max_eval_tables`` of them every
+        ``eval_every`` steps (and once at the end).
 
         When the pretrainer was built with a :class:`~repro.obs.RunJournal`,
         one header event plus one event per step / probe is appended.
         """
-        steps_per_epoch = max(1, int(np.ceil(len(self.instances)
-                                             / self.config.batch_size)))
-        self._ensure_optimizer(steps_per_epoch * n_epochs)
-        task = PretrainObjective(self, eval_instances, max_eval_tables)
-        trainer = Trainer(task, self._spec(n_epochs, eval_every=eval_every),
+        self._eval_instances = eval_instances
+        self._max_eval_tables = max_eval_tables
+        trainer = Trainer(self, self._spec(n_epochs, eval_every=eval_every),
                           journal=self.journal, rng=self.rng,
                           optimizer=self.optimizer)
         engine_stats = trainer.fit()
+        self.optimizer = trainer.optimizer
         return PretrainStats(
             losses=engine_stats.losses,
             mlm_losses=engine_stats.extras.get("mlm", []),
@@ -256,35 +256,41 @@ class Pretrainer:
             steps=engine_stats.steps,
         )
 
-    # -- Figure 7 probe ------------------------------------------------------
     def evaluate_object_prediction(self, instances: Sequence[TableInstance],
-                                   max_tables: Optional[int] = None,
-                                   max_cells_per_table: int = 3) -> float:
-        """Top-1 accuracy of recovering masked object entities (Section 6.8).
+                                   max_tables: Optional[int] = None) -> float:
+        """:func:`evaluate_object_prediction` on this pretrainer's model."""
+        return evaluate_object_prediction(self.model, self.candidates,
+                                          instances, max_tables=max_tables,
+                                          use_visibility=self.use_visibility)
 
-        For each table, up to ``max_cells_per_table`` object entity cells are
-        masked (entity and mention) one at a time, and the model ranks the
-        MER candidate set; a hit means the true entity ranks first.  The
-        caller's train/eval mode is restored on exit.
-        """
-        with eval_mode(self.model), trace("pretrain/probe"):
-            return self._object_prediction_accuracy(
-                instances, max_tables, max_cells_per_table)
 
-    def _object_prediction_accuracy(self, instances: Sequence[TableInstance],
-                                    max_tables: Optional[int],
-                                    max_cells_per_table: int) -> float:
+# -- Figure 7 probe ----------------------------------------------------------
+
+#: Object entity cells the probe masks per table (one at a time).
+PROBE_CELLS_PER_TABLE = 3
+
+
+def evaluate_object_prediction(model: TURLModel,
+                               candidate_builder: CandidateBuilder,
+                               instances: Sequence[TableInstance],
+                               max_tables: Optional[int] = None,
+                               use_visibility: bool = True) -> float:
+    """Top-1 accuracy of recovering masked object entities (Section 6.8).
+
+    For each of the first ``max_tables`` tables, up to
+    :data:`PROBE_CELLS_PER_TABLE` object entity cells are masked (entity and
+    mention) one at a time, and the model ranks the MER candidate set from
+    ``candidate_builder``; a hit means the true entity ranks first.  The
+    caller's train/eval mode is restored on exit.
+    """
+    batch_size = model.config.batch_size
+    with eval_mode(model), trace("pretrain/probe"):
         eval_rng = np.random.default_rng(12345)
-        instances = list(instances)
-        if max_tables is not None:
-            instances = instances[:max_tables]
-
-        correct = 0
-        total = 0
+        correct = total = 0
         probes: List[TableInstance] = []
         probe_positions: List[int] = []
         probe_truth: List[int] = []
-        for instance in instances:
+        for instance in list(instances)[:max_tables]:
             object_positions = [
                 i for i in range(instance.n_entities)
                 if instance.entity_type[i] == ETYPE_OBJECT
@@ -292,17 +298,16 @@ class Pretrainer:
             ]
             if not object_positions:
                 continue
-            if len(object_positions) > max_cells_per_table:
+            if len(object_positions) > PROBE_CELLS_PER_TABLE:
                 chosen = eval_rng.choice(len(object_positions),
-                                         size=max_cells_per_table, replace=False)
+                                         size=PROBE_CELLS_PER_TABLE,
+                                         replace=False)
                 object_positions = [object_positions[int(i)] for i in chosen]
             for position in object_positions:
                 probes.append(instance)
                 probe_positions.append(position)
                 probe_truth.append(int(instance.entity_ids[position]))
 
-        batch_size = self.config.batch_size
-        from repro.nn import no_grad
         for start in range(0, len(probes), batch_size):
             chunk = probes[start:start + batch_size]
             positions = probe_positions[start:start + batch_size]
@@ -316,12 +321,12 @@ class Pretrainer:
                 labels[i, position] = truth
             batch["mention_masked"] = mention_masked
 
-            candidate_ids, remapped = self.candidates.build(
+            candidate_ids, remapped = candidate_builder.build(
                 batch["entity_ids"], labels, eval_rng)
             with no_grad():
-                _, entity_hidden = self.model.encode(
-                    batch, use_visibility=self.use_visibility)
-                logits = self.model.mer_logits(entity_hidden, candidate_ids)
+                _, entity_hidden = model.encode(
+                    batch, use_visibility=use_visibility)
+                logits = model.mer_logits(entity_hidden, candidate_ids)
             predictions = logits.data.argmax(axis=-1)
             for i, position in enumerate(positions):
                 total += 1

@@ -7,14 +7,17 @@ trained with distant supervision from the KB — for pairs of linked entities
 appearing in the same row, predict which KB relation (if any) holds between
 them from their contextualized representations.
 
-The result is a pre-trained encoder whose entity representations carry
-explicit relational structure, which transfers to relation extraction
+The relation loss is one more term on :meth:`Pretrainer.compute_loss`, so
+:meth:`Pretrainer.train` runs it on the shared :class:`~repro.train.Trainer`
+with the journal, sanitizer, tracing and pause/resume checkpoints that come
+with it.  The result is a pre-trained encoder whose entity representations
+carry explicit relational structure, which transfers to relation extraction
 (see ``benchmarks/bench_ext_kb_injection.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -23,9 +26,14 @@ from repro.core.pretrain import Pretrainer
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.kb.schema import RELATIONS
 from repro.nn import Linear, Module, Tensor, concat, cross_entropy_logits, stack
+from repro.train import StepOutput
 
 #: class id reserved for "no relation holds" pairs.
 NO_RELATION = 0
+#: λ, the relation term's weight in the joint loss.
+RELATION_WEIGHT = 0.5
+#: cap on labelled pairs per batch (half positives, half negatives).
+MAX_PAIRS_PER_BATCH = 48
 
 
 class RelationInjectionHead(Module):
@@ -42,54 +50,59 @@ class RelationInjectionHead(Module):
         return self.classifier(self.pair_project(pair).gelu())
 
 
+class KBInjectedModel(Module):
+    """The encoder and the relation head, optimized as one module."""
+
+    def __init__(self, model: Module, relation_head: RelationInjectionHead):
+        super().__init__()
+        self.model = model
+        self.relation_head = relation_head
+
+
 class KBInjectionPretrainer(Pretrainer):
     """Pre-trainer with the auxiliary relation-prediction objective.
 
-    The joint loss becomes ``MLM + MER + λ · relation``.  Pair labels are
-    built once per batch by distant supervision: every same-row linked pair
-    whose entities stand in a KB relation is a positive; an equal number of
-    unrelated same-row pairs are negatives.
+    The joint loss becomes ``MLM + MER + λ · relation`` (λ =
+    :data:`RELATION_WEIGHT`).  Pair labels are built per batch by distant
+    supervision: every same-row linked pair whose entities stand in a KB
+    relation is a positive; an equal number of unrelated same-row pairs are
+    negatives.  Batches carry the KB id of each entity position as
+    ``entity_kb_ids`` (padded with ``None`` at collate time); a batch
+    without them trains the base objectives only.
     """
 
+    name = "pretrain/kb_injection"
+
     def __init__(self, model, instances: Sequence[TableInstance],
-                 candidate_builder, kb: KnowledgeBase,
-                 config=None, seed: int = 0, use_visibility: bool = True,
-                 relation_weight: float = 0.5, max_pairs_per_batch: int = 48):
-        super().__init__(model, instances, candidate_builder, config=config,
-                         seed=seed, use_visibility=use_visibility)
+                 candidate_builder, kb: KnowledgeBase, **options):
+        """``options`` are :class:`Pretrainer`'s keywords (``config``,
+        ``seed``, ``journal``, ``sanitize``, ...)."""
+        super().__init__(model, instances, candidate_builder, **options)
         self.kb = kb
-        self.relation_weight = relation_weight
-        self.max_pairs_per_batch = max_pairs_per_batch
         self.relation_names = sorted(RELATIONS)
         self._relation_index = {name: i + 1 for i, name in enumerate(self.relation_names)}
-        rng = np.random.default_rng(seed + 17)
+        rng = np.random.default_rng(self.seed + 17)
         self.relation_head = RelationInjectionHead(
             model.config.dim, len(self.relation_names), rng)
-        # The auxiliary head's parameters must be optimized together with the
-        # model's; rebuild the optimizer lazily with the union.
-        self._kb_id_of: Dict[int, Optional[str]] = {}
+        self.module = KBInjectedModel(model, self.relation_head)
+        #: per-step relation loss (0.0 when a batch had no related pair).
         self.relation_losses: List[float] = []
 
-    def _ensure_optimizer(self, total_steps: int) -> None:
-        if self.optimizer is None:
-            from repro.nn import Adam, LinearDecaySchedule
-
-            schedule = LinearDecaySchedule(self.config.learning_rate,
-                                           total_steps=max(1, total_steps),
-                                           final_fraction=0.1)
-            parameters = self.model.parameters() + self.relation_head.parameters()
-            self.optimizer = Adam(parameters,
-                                  learning_rate=self.config.learning_rate,
-                                  weight_decay=self.config.weight_decay,
-                                  schedule=schedule)
+    def collate_batch(self, instances: List[TableInstance]) -> Dict[str, Any]:
+        batch = super().collate_batch(instances)
+        kb_ids = np.full(batch["entity_ids"].shape, None, dtype=object)
+        for row, instance in enumerate(instances):
+            kb_ids[row, :len(instance.entity_kb_ids)] = instance.entity_kb_ids
+        batch["entity_kb_ids"] = kb_ids
+        return batch
 
     # -- distant supervision -------------------------------------------------
     def _pair_labels(self, batch: Dict[str, np.ndarray],
-                     kb_ids: List[List[Optional[str]]],
                      rng: np.random.Generator) -> List[Tuple[int, int, int, int]]:
         """(batch index, position a, position b, relation class) tuples."""
         positives: List[Tuple[int, int, int, int]] = []
         negatives: List[Tuple[int, int, int, int]] = []
+        kb_ids = batch["entity_kb_ids"]
         rows = batch["entity_row"]
         mask = batch["entity_mask"]
         for b in range(rows.shape[0]):
@@ -110,7 +123,7 @@ class KBInjectionPretrainer(Pretrainer):
                         negatives.append((b, i, j, NO_RELATION))
         if not positives:
             return []
-        n = min(len(positives), self.max_pairs_per_batch // 2)
+        n = min(len(positives), MAX_PAIRS_PER_BATCH // 2)
         chosen_pos = [positives[int(k)] for k in
                       rng.choice(len(positives), size=n, replace=False)]
         if negatives:
@@ -121,91 +134,24 @@ class KBInjectionPretrainer(Pretrainer):
             chosen_neg = []
         return chosen_pos + chosen_neg
 
-    # -- training step ----------------------------------------------------
-    def step(self, batch: Dict[str, np.ndarray],
-             kb_ids: Optional[List[List[Optional[str]]]] = None) -> Dict[str, float]:
-        """One optimization step with the auxiliary loss.
-
-        ``kb_ids`` carries per-position KB entity ids; when omitted the step
-        degrades gracefully to the base objectives.
-        """
-        if kb_ids is None:
-            result = super().step(batch)
-            result["relation"] = 0.0
-            self.relation_losses.append(0.0)
-            return result
-
-        masked = self.masking.apply(batch, self.rng)
-        token_hidden, entity_hidden = self.model.encode(
-            masked.batch, use_visibility=self.use_visibility)
-
-        from repro.core.masking import IGNORE
-        from repro.nn import clip_grad_norm, masked_cross_entropy
-
-        losses: Dict[str, float] = {"mlm": 0.0, "mer": 0.0, "relation": 0.0}
-        total = None
-        if masked.n_mlm:
-            mlm_logits = self.model.mlm_logits(token_hidden)
-            mlm_loss = masked_cross_entropy(
-                mlm_logits, np.maximum(masked.mlm_labels, 0),
-                masked.mlm_labels != IGNORE)
-            losses["mlm"] = mlm_loss.item()
-            total = mlm_loss
-        if masked.n_mer:
-            candidate_ids, remapped = self.candidates.build(
-                batch["entity_ids"], masked.mer_labels, self.rng)
-            mer_logits = self.model.mer_logits(entity_hidden, candidate_ids)
-            mer_loss = masked_cross_entropy(
-                mer_logits, np.maximum(remapped, 0), remapped != IGNORE)
-            losses["mer"] = mer_loss.item()
-            total = mer_loss if total is None else total + mer_loss
-
-        pairs = self._pair_labels(batch, kb_ids, self.rng)
+    # -- joint objective ---------------------------------------------------
+    def compute_loss(self, batch: Dict[str, np.ndarray],
+                     rng: np.random.Generator) -> StepOutput:
+        """MLM + MER (:meth:`Pretrainer.joint_loss`) plus ``λ · relation``."""
+        output, entity_hidden = self.joint_loss(batch, rng)
+        pairs = (self._pair_labels(batch, rng)
+                 if "entity_kb_ids" in batch else [])
+        relation = 0.0
         if pairs:
             lefts = stack([entity_hidden[b, i] for b, i, _, _ in pairs], axis=0)
             rights = stack([entity_hidden[b, j] for b, _, j, _ in pairs], axis=0)
             labels = np.asarray([label for _, _, _, label in pairs])
-            relation_logits = self.relation_head(lefts, rights)
-            relation_loss = cross_entropy_logits(relation_logits, labels)
-            losses["relation"] = relation_loss.item()
-            weighted = relation_loss * self.relation_weight
-            total = weighted if total is None else total + weighted
-        self.relation_losses.append(losses["relation"])
-
-        if total is None:
-            return {"loss": 0.0, **losses}
-        self.model.zero_grad()
-        self.relation_head.zero_grad()
-        total.backward()
-        clip_grad_norm(self.model.parameters() + self.relation_head.parameters(),
-                       self.config.gradient_clip)
-        self.optimizer.step()
-        losses["loss"] = total.item()
-        return losses
-
-    # -- training loop with kb ids threaded through ------------------------
-    def train_with_kb(self, n_epochs: int = 1) -> List[float]:
-        """Pre-train with the auxiliary objective; returns per-step losses."""
-        from repro.core.batching import collate
-
-        steps_per_epoch = max(1, int(np.ceil(len(self.instances)
-                                             / self.config.batch_size)))
-        self._ensure_optimizer(steps_per_epoch * n_epochs)
-        self.model.train()
-        losses: List[float] = []
-        for _ in range(n_epochs):
-            order = self.rng.permutation(len(self.instances))
-            for start in range(0, len(order), self.config.batch_size):
-                chunk = [self.instances[int(i)]
-                         for i in order[start:start + self.config.batch_size]]
-                batch = collate(chunk)
-                kb_ids = [self._padded_kb_ids(instance, batch["entity_ids"].shape[1])
-                          for instance in chunk]
-                result = self.step(batch, kb_ids=kb_ids)
-                losses.append(result["loss"])
-        return losses
-
-    @staticmethod
-    def _padded_kb_ids(instance: TableInstance, width: int) -> List[Optional[str]]:
-        ids = list(instance.entity_kb_ids)
-        return ids + [None] * (width - len(ids))
+            relation_loss = cross_entropy_logits(
+                self.relation_head(lefts, rights), labels)
+            relation = relation_loss.item()
+            weighted = relation_loss * RELATION_WEIGHT
+            output.loss = (weighted if output.loss is None
+                           else output.loss + weighted)
+        output.extras["relation"] = relation
+        self.relation_losses.append(relation)
+        return output

@@ -10,6 +10,9 @@ Rule      Invariant
 RNG001    no global ``np.random.*`` / stdlib ``random`` — RNG flows in as a
           ``numpy.random.Generator``
 CLK001    wall-clock reads live only in ``repro.obs.clock``
+TRN001    ``backward()`` / ``optimizer.step()`` live only in ``repro.nn``
+          and ``repro.train.engine`` — objectives run on the shared
+          ``Trainer``
 TEN001    no raw ``Tensor.data`` subscripting / assignment outside
           ``repro.nn`` (and ``repro.train.checkpoint``)
 EVL001    public ``predict`` / ``evaluate*`` / ``rank*`` on module-like

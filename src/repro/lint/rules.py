@@ -70,6 +70,10 @@ def _outside_nn_and_checkpoint(module: str) -> bool:
     return _outside_nn(module) and module != "repro.train.checkpoint"
 
 
+def _outside_nn_and_engine(module: str) -> bool:
+    return _outside_nn(module) and module != "repro.train.engine"
+
+
 def _everywhere(module: str) -> bool:
     return True
 
@@ -96,6 +100,12 @@ RULES: Dict[str, Rule] = {rule.id: rule for rule in [
          "time regions with repro.obs.trace (or read repro.obs.clock "
          "perf_counter / wall_time) so seeded compute stays clock-free",
          _outside_clock),
+    Rule("TRN001", "hand-rolled-training-step",
+         "backward()/optimizer.step() outside repro.nn and repro.train.engine",
+         "express the objective as a TrainableTask loss (or an extra term "
+         "on one) and let repro.train.Trainer run backward, clipping and "
+         "the optimizer",
+         _outside_nn_and_engine),
     Rule("TEN001", "raw-tensor-data",
          "raw Tensor.data subscript/assignment outside repro.nn",
          "use autograd ops (take_rows, __getitem__, detach()) or read via "
@@ -205,7 +215,7 @@ class _RuleVisitor(ast.NodeVisitor):
                 self.imports_stdlib_random = True
         self.generic_visit(node)
 
-    # -- RNG001 / CLK001 / EVL002 on calls --------------------------------
+    # -- RNG001 / CLK001 / TRN001 / EVL002 on calls -----------------------
     def visit_Call(self, node: ast.Call) -> None:
         dotted = _dotted(node.func, self.aliases)
         if dotted:
@@ -213,6 +223,7 @@ class _RuleVisitor(ast.NodeVisitor):
             if dotted in CLOCK_CALLS:
                 self._flag("CLK001", node,
                            f"wall-clock read `{dotted}()` outside repro.obs.clock")
+        self._check_training_step(node)
         if (isinstance(node.func, ast.Attribute) and node.func.attr == "eval"
                 and not node.args and not node.keywords):
             target = _dotted(node.func, self.aliases) or ".eval"
@@ -221,6 +232,21 @@ class _RuleVisitor(ast.NodeVisitor):
                        "train/eval mode")
         self._check_obs_name(node, dotted)
         self.generic_visit(node)
+
+    # -- TRN001 ------------------------------------------------------------
+    def _check_training_step(self, node: ast.Call) -> None:
+        if not isinstance(node.func, ast.Attribute):
+            return
+        receiver = _dotted(node.func.value, self.aliases) or ""
+        if node.func.attr == "backward":
+            self._flag("TRN001", node,
+                       f"`{receiver or '<expr>'}.backward()` runs a training "
+                       "step outside the shared Trainer")
+        elif (node.func.attr == "step"
+              and receiver.split(".")[-1].endswith("optimizer")):
+            self._flag("TRN001", node,
+                       f"`{receiver}.step()` runs a training step outside "
+                       "the shared Trainer")
 
     # -- OBS002 ------------------------------------------------------------
     def _check_obs_name(self, node: ast.Call, dotted: Optional[str]) -> None:

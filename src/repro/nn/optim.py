@@ -42,21 +42,18 @@ class LinearDecaySchedule:
     """Linear decay from ``learning_rate`` to ``final_fraction * learning_rate``.
 
     Matches the paper's "linearly decreasing learning rate" over a known
-    number of total steps, with an optional linear warmup.
+    number of total steps.
     """
 
     def __init__(self, learning_rate: float, total_steps: int,
-                 warmup_steps: int = 0, final_fraction: float = 0.0):
+                 final_fraction: float = 0.0):
         if total_steps <= 0:
             raise ValueError("total_steps must be positive")
         self.learning_rate = learning_rate
         self.total_steps = total_steps
-        self.warmup_steps = warmup_steps
         self.final_fraction = final_fraction
 
     def __call__(self, step: int) -> float:
-        if self.warmup_steps and step < self.warmup_steps:
-            return self.learning_rate * (step + 1) / self.warmup_steps
         progress = min(1.0, step / self.total_steps)
         fraction = 1.0 - (1.0 - self.final_fraction) * progress
         return self.learning_rate * max(self.final_fraction, fraction)

@@ -58,7 +58,7 @@ def save_training_state(directory: str, trainer) -> None:
     module = trainer.task.module
     save_state_dict(module.state_dict(), os.path.join(directory, MODEL_FILE))
 
-    optimizer = trainer._ensure_optimizer()
+    optimizer = trainer.optimizer
     names = [name for name, _ in module.named_parameters()]
     if len(names) != len(optimizer.parameters):
         raise ValueError(
@@ -116,7 +116,7 @@ def load_training_state(directory: str, task,
     task.module.load_state_dict(
         load_state_dict(os.path.join(directory, MODEL_FILE)))
 
-    optimizer = trainer._ensure_optimizer()
+    optimizer = trainer.optimizer
     moments = load_state_dict(os.path.join(directory, OPTIMIZER_FILE))
     names = [name for name, _ in task.module.named_parameters()]
     for i, name in enumerate(names):

@@ -3,8 +3,8 @@
 One :class:`Trainer` drives both pre-training and every fine-tuning head:
 Adam with an optional linearly decaying learning rate and global-norm
 gradient clipping, seeded epoch shuffling, per-step / per-epoch statistics,
-periodic evaluation hooks with train/eval-mode restoration, early stopping,
-JSONL journaling, and checkpoint save / resume.  Tasks plug in through the
+periodic evaluation hooks with train/eval-mode restoration, JSONL
+journaling, and checkpoint save / resume.  Tasks plug in through the
 :class:`~repro.train.task.TrainableTask` protocol.
 
 Subsampling semantics
@@ -22,7 +22,6 @@ training progress (which is what makes checkpoint resume exact).
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -49,6 +48,14 @@ from repro.train.task import StepOutput, TrainableTask
 
 SCHEDULES = ("constant", "linear")
 SHUFFLE_MODES = ("flat", "bucket", "shard")
+#: ``schedule="linear"`` decays the learning rate to this fraction of its
+#: initial value over the run.
+FINAL_LR_FRACTION = 0.1
+#: Fields that checkpoints written by older versions may still carry; every
+#: caller left them at no warmup, decay to :data:`FINAL_LR_FRACTION` and no
+#: early stopping, which is what the engine now always does.
+RETIRED_SPEC_FIELDS = ("warmup_steps", "final_lr_fraction",
+                       "early_stop_patience", "early_stop_min_delta")
 
 
 @dataclass
@@ -56,16 +63,15 @@ class TrainSpec:
     """Everything the engine needs to know about *how* to train.
 
     ``schedule="linear"`` reproduces the paper's linearly decreasing learning
-    rate; ``gradient_clip=None`` disables clipping (the gradient norm is then
-    only computed when a journal asks for it).
+    rate (down to :data:`FINAL_LR_FRACTION` of it); ``gradient_clip=None``
+    disables clipping (the gradient norm is then only computed when a
+    journal asks for it).
     """
 
     epochs: int = 1
     learning_rate: float = 1e-3
     weight_decay: float = 0.0
     schedule: str = "constant"
-    warmup_steps: int = 0
-    final_lr_fraction: float = 0.1
     gradient_clip: Optional[float] = None
     batch_size: int = 1
     #: epoch order: ``"flat"`` reproduces the historical order bit-for-bit
@@ -80,8 +86,6 @@ class TrainSpec:
     max_items: Optional[int] = None
     eval_every: Optional[int] = None
     eval_at_end: bool = False
-    early_stop_patience: Optional[int] = None
-    early_stop_min_delta: float = 0.0
     #: run every optimization step under the autograd sanitizer
     #: (:func:`repro.nn.sanitize_ops`).  Observation-only: seeded results are
     #: bit-identical with this on or off.
@@ -104,7 +108,8 @@ class TrainSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TrainSpec":
-        return cls(**payload)
+        return cls(**{key: value for key, value in payload.items()
+                      if key not in RETIRED_SPEC_FIELDS})
 
 
 @dataclass
@@ -120,7 +125,6 @@ class TrainStats:
     eval_values: List[float] = field(default_factory=list)
     steps: int = 0
     wall_seconds: float = 0.0
-    stopped_early: bool = False
 
     @property
     def throughput(self) -> float:
@@ -138,8 +142,7 @@ def build_optimizer(parameters: Sequence[Parameter], spec: TrainSpec,
     if spec.schedule == "linear":
         schedule = LinearDecaySchedule(spec.learning_rate,
                                        total_steps=max(1, total_steps),
-                                       warmup_steps=spec.warmup_steps,
-                                       final_fraction=spec.final_lr_fraction)
+                                       final_fraction=FINAL_LR_FRACTION)
     else:
         schedule = ConstantSchedule(spec.learning_rate)
     return Adam(parameters, learning_rate=spec.learning_rate,
@@ -180,9 +183,9 @@ def _grad_norm(parameters: Sequence[Parameter]) -> float:
 class Trainer:
     """Runs a :class:`TrainableTask` under a :class:`TrainSpec`.
 
-    ``rng`` / ``optimizer`` may be injected by callers that need to share
-    state with legacy facades (e.g. :class:`repro.core.pretrain.Pretrainer`);
-    by default the engine owns both.
+    ``rng`` / ``optimizer`` may be injected by callers that keep them across
+    runs (:class:`repro.core.pretrain.Pretrainer` carries both from one
+    ``train``/``step`` call to the next); by default the engine owns both.
     """
 
     def __init__(self, task: TrainableTask, spec: TrainSpec,
@@ -193,7 +196,7 @@ class Trainer:
         self.spec = spec
         self.journal = journal
         self.rng = rng if rng is not None else np.random.default_rng(spec.seed)
-        self.optimizer = optimizer
+        self._optimizer = optimizer
         self.epochs_completed = 0
         self.step_index = 0
         #: chunks of the current epoch already consumed — with
@@ -204,8 +207,6 @@ class Trainer:
         self._epoch_losses: List[float] = []
         self._pending_chunks: Optional[List[Any]] = None
         self._items: Optional[List[Any]] = None
-        self._best_epoch_loss = math.inf
-        self._epochs_since_improvement = 0
         self._metric_prefix = task.name.replace("/", ".")
         self._fit_context = None
 
@@ -222,13 +223,15 @@ class Trainer:
     def steps_per_epoch(self) -> int:
         return max(1, int(np.ceil(len(self.items) / self.spec.batch_size)))
 
-    def _ensure_optimizer(self, total_steps: Optional[int] = None) -> Adam:
-        if self.optimizer is None:
-            if total_steps is None:
-                total_steps = self.steps_per_epoch * self.spec.epochs
-            self.optimizer = build_optimizer(self.task.module.parameters(),
-                                             self.spec, total_steps)
-        return self.optimizer
+    @property
+    def optimizer(self) -> Adam:
+        """The injected optimizer, or one built on first use for
+        ``steps_per_epoch * spec.epochs`` steps over the task module."""
+        if self._optimizer is None:
+            self._optimizer = build_optimizer(
+                self.task.module.parameters(), self.spec,
+                self.steps_per_epoch * self.spec.epochs)
+        return self._optimizer
 
     def _write_header(self) -> None:
         if self.journal is None:
@@ -276,7 +279,7 @@ class Trainer:
                     "backward_seconds": 0.0, "optimizer_seconds": 0.0,
                     "grad_norm": 0.0, "lr": 0.0, "updated": 0.0}
 
-        optimizer = self._ensure_optimizer()
+        optimizer = self.optimizer
         task.module.zero_grad()
         with trace(f"{task.name}/step/backward") as backward:
             output.loss.backward()
@@ -322,7 +325,6 @@ class Trainer:
         """
         stats = TrainStats()
         items = self.items
-        self._ensure_optimizer()
         self._write_header()
         target = self.spec.epochs
         if epochs is not None:
@@ -376,13 +378,10 @@ class Trainer:
                     self._epoch_start_rng_state = None
                     self.chunks_consumed = 0
                     self._epoch_losses = []
-                    if self._should_stop_early(epoch_loss):
-                        stats.stopped_early = True
-                        break
                 if paused:
                     break
         stats.wall_seconds = train.seconds
-        if (spec.eval_at_end and not stats.stopped_early and not paused
+        if (spec.eval_at_end and not paused
                 and self.epochs_completed >= spec.epochs):
             stats.wall_seconds += self._run_eval(stats)
         get_registry().gauge(
@@ -466,17 +465,6 @@ class Trainer:
                 self.journal.probe(self.step_index, value,
                                    seconds=probe.seconds)
         return probe.seconds
-
-    def _should_stop_early(self, epoch_loss: float) -> bool:
-        patience = self.spec.early_stop_patience
-        if patience is None:
-            return False
-        if epoch_loss < self._best_epoch_loss - self.spec.early_stop_min_delta:
-            self._best_epoch_loss = epoch_loss
-            self._epochs_since_improvement = 0
-            return False
-        self._epochs_since_improvement += 1
-        return self._epochs_since_improvement >= patience
 
     # -- checkpointing -------------------------------------------------------
     def save(self, directory: str) -> None:

@@ -3,7 +3,7 @@
 A :class:`TrainableTask` describes *what* to optimize — the module, the
 training items, and the loss of one item — while :class:`repro.train.Trainer`
 owns *how*: optimizer construction, seeded shuffling, gradient clipping,
-stats, eval hooks, early stopping, journaling and checkpointing.  Both
+stats, eval hooks, journaling and checkpointing.  Both
 pre-training (MLM + MER) and every fine-tuning head implement this protocol,
 so the paper's Adam-with-decay recipe lives in exactly one place.
 """

@@ -8,7 +8,12 @@ from repro.core.batching import collate
 from repro.core.candidates import CandidateBuilder
 from repro.core.masking import IGNORE, MaskingPolicy
 from repro.core.model import TURLModel
-from repro.core.pretrain import Pretrainer, load_checkpoint, save_checkpoint
+from repro.core.pretrain import (
+    Pretrainer,
+    evaluate_object_prediction,
+    load_checkpoint,
+    save_checkpoint,
+)
 from repro.text.vocab import MASK_ID
 
 
@@ -99,7 +104,6 @@ def test_pretrainer_step_returns_losses(pipeline, rng):
     model = context.fresh_model(seed=3)
     pretrainer = Pretrainer(model, instances, context.candidate_builder,
                             context.config, seed=1)
-    pretrainer._ensure_optimizer(10)
     batch = collate(instances[:4])
     result = pretrainer.step(batch)
     assert result["loss"] > 0
@@ -124,6 +128,17 @@ def test_probe_runs_and_bounded(pipeline):
                             context.config)
     accuracy = pretrainer.evaluate_object_prediction(instances[:6])
     assert 0.0 <= accuracy <= 1.0
+
+
+def test_probe_needs_only_model_and_candidates(pipeline):
+    """The probe is callable without building a Pretrainer."""
+    context, instances = pipeline
+    pretrainer = Pretrainer(context.model, instances, context.candidate_builder,
+                            context.config)
+    assert (evaluate_object_prediction(context.model,
+                                       context.candidate_builder,
+                                       instances[:6])
+            == pretrainer.evaluate_object_prediction(instances[:6]))
 
 
 def test_pretrained_beats_fresh_on_probe(pipeline):

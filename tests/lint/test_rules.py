@@ -104,6 +104,39 @@ def test_clk001_flags_clock_reads_elsewhere_in_obs():
     assert _rule_ids(result) == ["CLK001"]
 
 
+# -- TRN001 -----------------------------------------------------------------
+
+def test_trn001_flags_hand_rolled_training_steps():
+    result = _lint("""
+        loss.backward()
+        optimizer.step()
+        self.optimizer.step()
+    """, path="src/repro/ext/example.py")
+    assert _rule_ids(result) == ["TRN001", "TRN001", "TRN001"]
+    assert [v.line for v in result.violations] == [2, 3, 4]
+
+
+def test_trn001_allows_nn_engine_and_other_steps():
+    source = """
+        loss.backward()
+        optimizer.step()
+    """
+    assert _lint(source, path="src/repro/nn/optim.py").ok
+    assert _lint(source, path="src/repro/train/engine.py").ok
+    assert _lint(source, path="tests/train/test_example.py").ok
+    assert _lint("""
+        journal.step(1, loss=0.5)
+        schedule.step()
+    """, path="src/repro/ext/example.py").ok
+
+
+def test_trn001_flags_the_rest_of_repro_train():
+    result = _lint("""
+        loss.backward()
+    """, path="src/repro/train/checkpoint.py")
+    assert _rule_ids(result) == ["TRN001"]
+
+
 # -- TEN001 -----------------------------------------------------------------
 
 def test_ten001_flags_data_subscript_and_assignment():

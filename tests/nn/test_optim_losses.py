@@ -65,11 +65,12 @@ def test_linear_decay_schedule():
     assert schedule(100) == pytest.approx(0.0)
 
 
-def test_linear_decay_with_warmup_and_floor():
-    schedule = LinearDecaySchedule(1.0, total_steps=10, warmup_steps=2, final_fraction=0.1)
-    assert schedule(0) == pytest.approx(0.5)
-    assert schedule(1) == pytest.approx(1.0)
+def test_linear_decay_with_floor():
+    schedule = LinearDecaySchedule(1.0, total_steps=10, final_fraction=0.1)
+    assert schedule(0) == 1.0
+    assert schedule(5) == pytest.approx(0.55)
     assert schedule(10) == pytest.approx(0.1)
+    assert schedule(100) == pytest.approx(0.1)
 
 
 def test_constant_schedule():

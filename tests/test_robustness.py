@@ -137,7 +137,6 @@ def test_pretrainer_step_handles_empty_mer(context, rng):
     config = dataclasses.replace(context.config, mer_probability=0.0)
     model = context.fresh_model(seed=6)
     pretrainer = Pretrainer(model, [], context.candidate_builder, config)
-    pretrainer._ensure_optimizer(5)
     instances = context.instances_for(context.splits.train)[:4]
     result = pretrainer.step(collate(instances))
     assert result["mer"] == 0.0

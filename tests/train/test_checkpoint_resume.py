@@ -67,8 +67,8 @@ def test_checkpoint_round_trips_optimizer_moments(tmp_path):
     trainer.save(directory)
 
     resumed = Trainer.restore(directory, ToyTask())
-    original = trainer._ensure_optimizer()
-    restored = resumed._ensure_optimizer()
+    original = trainer.optimizer
+    restored = resumed.optimizer
     assert restored.step_count == original.step_count
     for a, b in zip(original._m, restored._m):
         np.testing.assert_array_equal(a, b)

@@ -21,12 +21,13 @@ from repro.core.candidates import CandidateBuilder
 from repro.core.context import pretrain_streaming
 from repro.core.linearize import Linearizer
 from repro.core.model import TURLModel
-from repro.core.pretrain import Pretrainer, PretrainObjective
+from repro.core.pretrain import Pretrainer
 from repro.core.stream import TableInstanceStream
 from repro.data.corpus import TableCorpus
 from repro.data.shards import ShardedDataset, write_sharded_corpus
 from repro.data.synthesis import SynthesisConfig
 from repro.kb.generator import WorldConfig, generate_world
+from repro.obs import RunJournal, read_journal
 from repro.text.tokenizer import WordPieceTokenizer
 from repro.text.vocab import EntityVocabulary
 from repro.train import Trainer
@@ -70,11 +71,7 @@ def _streaming_trainer(dataset, epochs: int, shuffle: str = "shard"):
                             CandidateBuilder(dataset.instances("train"),
                                              entity_vocab, CONFIG),
                             CONFIG, seed=0, shuffle=shuffle)
-    steps = max(1, int(np.ceil(len(stream) / CONFIG.batch_size)))
-    pretrainer._ensure_optimizer(steps * epochs)
-    task = PretrainObjective(pretrainer)
-    return Trainer(task, pretrainer._spec(epochs), rng=pretrainer.rng,
-                   optimizer=pretrainer.optimizer)
+    return Trainer(pretrainer, pretrainer._spec(epochs), rng=pretrainer.rng)
 
 
 def test_streaming_matches_eager_bit_for_bit(stream_dataset):
@@ -95,6 +92,25 @@ def test_streaming_matches_eager_bit_for_bit(stream_dataset):
     assert streamed.steps == eager.steps > 0
     np.testing.assert_array_equal(streamed.losses, eager.losses)
     assert _weight_digest(streamed_model) == _weight_digest(model)
+
+
+def test_streaming_journal_ends_with_probe(stream_dataset, tmp_path):
+    """A journaled streaming run closes with the recovery probe, as the
+    eager ``build_context`` path does; the probe leaves the weights alone."""
+    path = str(tmp_path / "run.jsonl")
+    journal = RunJournal(path)
+    model, _, _, stats = pretrain_streaming(
+        stream_dataset, model_config=CONFIG, pretrain_epochs=1,
+        vocab_size=VOCAB_SIZE, seed=0, journal=journal)
+    journal.close()
+    events = [event["event"] for event in read_journal(path)]
+    assert events == ["header"] + ["step"] * stats.steps + ["probe"]
+    assert stats.final_accuracy is not None
+
+    unjournaled, _, _, _ = pretrain_streaming(
+        stream_dataset, model_config=CONFIG, pretrain_epochs=1,
+        vocab_size=VOCAB_SIZE, seed=0)
+    assert _weight_digest(model) == _weight_digest(unjournaled)
 
 
 def test_shard_shuffle_mid_epoch_resume_is_exact(stream_dataset, tmp_path):
